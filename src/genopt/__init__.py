@@ -21,8 +21,6 @@ from .core import (
     StepRecord,
     SyntheticNoise,
     as_param_vector,
-    axpy,
-    dot,
 )
 from .gen import (
     CLAMP_FACTOR,
@@ -57,7 +55,6 @@ from .harness import (
     run_experiment,
     spec_from_dict,
 )
-from .kernels import JIT_ENABLED, warmup
 from .optim import (
     AdamWState,
     ClipToNorm,
@@ -75,11 +72,7 @@ from .problems import (
     LogisticRegressionProblem,
     QuadraticProblem,
     RosenbrockProblem,
-    beale_eval,
     generate_dataset,
-    logreg_minibatch,
-    quadratic_eval,
-    rosenbrock_eval,
 )
 
 __version__ = "0.1.0"
@@ -89,16 +82,16 @@ __all__ = [
     "CONVERGENCE_TOL", "ClipToNorm", "DIVERGENCE_LOSS",
     "DimensionMismatchError", "ETA0_GRID", "ErrorScalingResult",
     "ExperimentSpec", "FULL_DATA", "FullData", "GenController",
-    "GridSearchError", "Identity", "IndexSet", "JIT_ENABLED", "LR_GRID",
+    "GridSearchError", "Identity", "IndexSet", "LR_GRID",
     "LogisticRegressionProblem", "Mask", "NonFiniteError",
     "NonFiniteProbeLoss", "Objective", "QuadraticFit", "QuadraticProblem",
     "REJECTED", "RosenbrockProblem", "RunResult", "SgdState", "SignSgd",
     "SpecError", "StepRecord", "SyntheticNoise", "adamw_direction",
-    "apply_step", "as_param_vector", "auto_search_eta0", "axpy",
-    "beale_eval", "build_problem", "convergence_metrics", "dot",
+    "apply_step", "as_param_vector", "auto_search_eta0",
+    "build_problem", "convergence_metrics",
     "error_scaling_study", "exact_eta_hvp", "fd5_eta", "fit_quadratic",
     "gen_update", "generate_dataset", "grid_search_baseline",
-    "grid_search_rows", "logreg_minibatch", "lqa3_eta", "post_process",
-    "probe_losses", "quadratic_eval", "rosenbrock_eval", "run_experiment",
-    "sgd_direction", "smooth", "spec_from_dict", "warmup",
+    "grid_search_rows", "lqa3_eta", "post_process",
+    "probe_losses", "run_experiment",
+    "sgd_direction", "smooth", "spec_from_dict",
 ]

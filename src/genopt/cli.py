@@ -204,10 +204,12 @@ def _apply_seed_override(specs: List[ExperimentSpec],
 
 
 def _run_specs(specs: List[ExperimentSpec], jobs: int) -> List[RunResult]:
-    if jobs <= 1 or len(specs) == 1:
+    # the pool forks every worker up front, so never ask for idle ones
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_experiment(s) for s in specs]
     # results come back in spec order regardless of completion order
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_experiment, specs))
 
 
@@ -363,6 +365,9 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override every experiment's seed")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        _err("cli.jobs", f"--jobs must be an integer >= 1, got {args.jobs}")
+        return 2
     handler = {"run": cmd_run, "grid-search": cmd_grid_search,
                "compare": cmd_compare}[args.command]
     try:

@@ -9,7 +9,6 @@ boundary instead of propagating NaN into downstream state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -44,26 +43,6 @@ def check_finite(arr: Array, what: str) -> Array:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{what} contains NaN or Inf")
     return arr
-
-
-def axpy(alpha: float, x: Array, y: Array) -> Array:
-    """Return ``y + alpha * x`` elementwise; inputs are not modified."""
-    if x.shape != y.shape:
-        raise DimensionMismatchError(
-            f"axpy dimension mismatch: {x.shape} vs {y.shape}"
-        )
-    if not math.isfinite(alpha):
-        raise NonFiniteError("axpy scale alpha is not finite")
-    return check_finite(y + alpha * x, "axpy result")
-
-
-def dot(x: Array, y: Array) -> float:
-    """Inner product sum(x_i * y_i)."""
-    if x.shape != y.shape:
-        raise DimensionMismatchError(
-            f"dot dimension mismatch: {x.shape} vs {y.shape}"
-        )
-    return float(np.dot(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -492,8 +492,12 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
     constant_batch = batch_size is None
     cached_loss: Optional[float] = None
 
-    def eta_now() -> float:
-        return float(eta) if eta is not None else math.nan
+    def diverged(t: int, l0: float, grad_norm: float) -> str:
+        # record the step whose loss, gradient or direction blew up
+        records.append(StepRecord(
+            step=t, loss=l0, eta=float(eta) if eta is not None else math.nan,
+            grad_norm=grad_norm))
+        return "diverged"
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
@@ -504,21 +508,15 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
             else:
                 l0 = float(problem.loss(w, batch))
             if not math.isfinite(l0) or l0 > DIVERGENCE_LOSS:
-                status = "diverged"
-                records.append(StepRecord(step=t, loss=l0, eta=eta_now(),
-                                          grad_norm=math.nan))
+                status = diverged(t, l0, math.nan)
                 break
             g = np.asarray(problem.grad(w, batch), dtype=np.float64)
             if not np.all(np.isfinite(g)):
-                status = "diverged"
-                records.append(StepRecord(step=t, loss=l0, eta=eta_now(),
-                                          grad_norm=math.nan))
+                status = diverged(t, l0, math.nan)
                 break
             d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
             if not np.all(np.isfinite(d)):
-                status = "diverged"
-                records.append(StepRecord(step=t, loss=l0, eta=eta_now(),
-                                          grad_norm=float(np.linalg.norm(g))))
+                status = diverged(t, l0, float(np.linalg.norm(g)))
                 break
 
             if mode != "fixed" and eta is None:
@@ -567,7 +565,7 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
             except NonFiniteError:
                 status = "diverged"
                 base = gen_rec if gen_rec is not None else StepRecord(
-                    step=t, loss=l0, eta=eta_now(), grad_norm=grad_norm)
+                    step=t, loss=l0, eta=float(eta), grad_norm=grad_norm)
                 records.append(replace(base, loss=l0, grad_norm=grad_norm))
                 break
             ws.append(w.copy())

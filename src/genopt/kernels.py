@@ -1,61 +1,39 @@
-"""Hot evaluation kernels, numba-jitted by default.
+"""Hot evaluation kernels in plain python/numpy.
 
-Set ``GENOPT_JIT=0`` (or ``false``/``off``/``no``) before import to force the
-plain python/numpy implementations. Both variants stay importable under
-stable names (``*_py`` and, when numba is present, ``*_jit``) so tests and
-``benchmarks/bench_kernels.py`` can compare the two paths in one process.
-Each path is individually deterministic; they may differ from each other by
-a few ulp because summation order differs.
+The 2-D surfaces work on python floats; the logistic-regression kernels
+are vectorized numpy. ``problems`` calls every kernel through this module
+(``kernels.<name>``), so one attribute per kernel decides what runs.
 """
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-
-def jit_requested(env: str | None = None) -> bool:
-    """Parse the GENOPT_JIT env flag (default: enabled)."""
-    raw = os.environ.get("GENOPT_JIT", "1") if env is None else env
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-JIT_ENABLED = HAS_NUMBA and jit_requested()
-
 
 # ---------------------------------------------------------------------------
-# scalar 2-D kernels: plain python floats, identical source for both paths
+# scalar 2-D kernels on plain python floats
 
-def _rosenbrock_loss(x1: float, x2: float) -> float:
+def rosenbrock_loss(x1: float, x2: float) -> float:
     r = x2 - x1 * x1
     return 100.0 * r * r + (1.0 - x1) * (1.0 - x1)
 
 
-def _rosenbrock_grad(x1: float, x2: float):
+def rosenbrock_grad(x1: float, x2: float):
     r = x2 - x1 * x1
     return -400.0 * x1 * r - 2.0 * (1.0 - x1), 200.0 * r
 
 
-def _rosenbrock_hess(x1: float, x2: float):
+def rosenbrock_hess(x1: float, x2: float):
     # returns (h11, h12, h22); h21 == h12 by symmetry
     return 1200.0 * x1 * x1 - 400.0 * x2 + 2.0, -400.0 * x1, 200.0
 
 
-def _beale_loss(x1: float, x2: float) -> float:
+def beale_loss(x1: float, x2: float) -> float:
     r1 = 1.5 - x1 + x1 * x2
     r2 = 2.25 - x1 + x1 * x2 * x2
     r3 = 2.625 - x1 + x1 * x2 * x2 * x2
     return r1 * r1 + r2 * r2 + r3 * r3
 
 
-def _beale_grad(x1: float, x2: float):
+def beale_grad(x1: float, x2: float):
     y = x2
     r1 = 1.5 - x1 + x1 * y
     r2 = 2.25 - x1 + x1 * y * y
@@ -65,7 +43,7 @@ def _beale_grad(x1: float, x2: float):
     return g1, g2
 
 
-def _beale_hess(x1: float, x2: float):
+def beale_hess(x1: float, x2: float):
     y = x2
     r1 = 1.5 - x1 + x1 * y
     r2 = 2.25 - x1 + x1 * y * y
@@ -85,52 +63,9 @@ def _beale_hess(x1: float, x2: float):
 
 
 # ---------------------------------------------------------------------------
-# logistic regression: fused-loop kernel for numba, vectorized numpy fallback
+# logistic regression, vectorized
 
-def _logreg_loss_loop(x, y, w, l2):
-    n, d = x.shape
-    total = 0.0
-    for i in range(n):
-        z = 0.0
-        for j in range(d):
-            z += x[i, j] * w[j]
-        if z > 0.0:
-            total += z - y[i] * z + math.log1p(math.exp(-z))
-        else:
-            total += math.log1p(math.exp(z)) - y[i] * z
-    reg = 0.0
-    for j in range(d):
-        reg += w[j] * w[j]
-    return total / n + 0.5 * l2 * reg
-
-
-def _logreg_loss_grad_loop(x, y, w, l2):
-    n, d = x.shape
-    total = 0.0
-    g = np.zeros(d)
-    for i in range(n):
-        z = 0.0
-        for j in range(d):
-            z += x[i, j] * w[j]
-        if z > 0.0:
-            total += z - y[i] * z + math.log1p(math.exp(-z))
-            p = 1.0 / (1.0 + math.exp(-z))
-        else:
-            total += math.log1p(math.exp(z)) - y[i] * z
-            ez = math.exp(z)
-            p = ez / (1.0 + ez)
-        c = p - y[i]
-        for j in range(d):
-            g[j] += c * x[i, j]
-    reg = 0.0
-    inv = 1.0 / n
-    for j in range(d):
-        g[j] = g[j] * inv + l2 * w[j]
-        reg += w[j] * w[j]
-    return total / n + 0.5 * l2 * reg, g
-
-
-def _sigmoid_np(z):
+def _sigmoid(z):
     # two-branch form stays overflow-free for any z
     p = np.empty_like(z)
     pos = z > 0.0
@@ -140,71 +75,18 @@ def _sigmoid_np(z):
     return p
 
 
-def _logreg_loss_np(x, y, w, l2):
+def logreg_loss(x, y, w, l2):
     z = x @ w
     ce = np.logaddexp(0.0, z) - y * z
     return float(np.mean(ce)) + 0.5 * l2 * float(w @ w)
 
 
-def _logreg_loss_grad_np(x, y, w, l2):
+def logreg_loss_grad(x, y, w, l2):
     z = x @ w
     ce = np.logaddexp(0.0, z) - y * z
-    g = x.T @ (_sigmoid_np(z) - y) / x.shape[0] + l2 * w
+    g = x.T @ (_sigmoid(z) - y) / x.shape[0] + l2 * w
     return float(np.mean(ce)) + 0.5 * l2 * float(w @ w), g
 
 
-# ---------------------------------------------------------------------------
-# path selection
-
-rosenbrock_loss_py = _rosenbrock_loss
-rosenbrock_grad_py = _rosenbrock_grad
-rosenbrock_hess_py = _rosenbrock_hess
-beale_loss_py = _beale_loss
-beale_grad_py = _beale_grad
-beale_hess_py = _beale_hess
-logreg_loss_py = _logreg_loss_np
-logreg_loss_grad_py = _logreg_loss_grad_np
-
-if HAS_NUMBA:
-    rosenbrock_loss_jit = njit(cache=True)(_rosenbrock_loss)
-    rosenbrock_grad_jit = njit(cache=True)(_rosenbrock_grad)
-    rosenbrock_hess_jit = njit(cache=True)(_rosenbrock_hess)
-    beale_loss_jit = njit(cache=True)(_beale_loss)
-    beale_grad_jit = njit(cache=True)(_beale_grad)
-    beale_hess_jit = njit(cache=True)(_beale_hess)
-    logreg_loss_jit = njit(cache=True)(_logreg_loss_loop)
-    logreg_loss_grad_jit = njit(cache=True)(_logreg_loss_grad_loop)
-
-if JIT_ENABLED:
-    rosenbrock_loss = rosenbrock_loss_jit
-    rosenbrock_grad = rosenbrock_grad_jit
-    rosenbrock_hess = rosenbrock_hess_jit
-    beale_loss = beale_loss_jit
-    beale_grad = beale_grad_jit
-    beale_hess = beale_hess_jit
-    logreg_loss = logreg_loss_jit
-    logreg_loss_grad = logreg_loss_grad_jit
-else:
-    rosenbrock_loss = rosenbrock_loss_py
-    rosenbrock_grad = rosenbrock_grad_py
-    rosenbrock_hess = rosenbrock_hess_py
-    beale_loss = beale_loss_py
-    beale_grad = beale_grad_py
-    beale_hess = beale_hess_py
-    logreg_loss = logreg_loss_py
-    logreg_loss_grad = logreg_loss_grad_py
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel (no-op on the python path)."""
-    rosenbrock_loss(0.1, 0.2)
-    rosenbrock_grad(0.1, 0.2)
-    rosenbrock_hess(0.1, 0.2)
-    beale_loss(0.1, 0.2)
-    beale_grad(0.1, 0.2)
-    beale_hess(0.1, 0.2)
-    x = np.ones((2, 2))
-    y = np.array([0.0, 1.0])
-    w = np.array([0.1, -0.1])
-    logreg_loss(x, y, w, 0.0)
-    logreg_loss_grad(x, y, w, 0.0)
+# genbench's kernel_path() reports "numpy" when logreg_loss is this alias
+logreg_loss_py = logreg_loss

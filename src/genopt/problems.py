@@ -8,7 +8,7 @@ mini-batch studies.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -205,30 +205,6 @@ def _unpack2(w) -> Tuple[float, float]:
     return float(arr[0]), float(arr[1])
 
 
-# ---------------------------------------------------------------------------
-# functional entry points
-
-def rosenbrock_eval(w) -> Tuple[float, Array, Array]:
-    """Loss, gradient, and Hessian of the valley function at w."""
-    p = _ROSENBROCK
-    return p.loss(w), p.grad(w), p.hessian(w)
-
-
-def beale_eval(w) -> Tuple[float, Array, Array]:
-    p = _BEALE
-    return p.loss(w), p.grad(w), p.hessian(w)
-
-
-def quadratic_eval(p: QuadraticProblem, w) -> Tuple[float, Array, Array]:
-    return p.loss(w), p.grad(w), p.hessian(w)
-
-
-def logreg_minibatch(p: LogisticRegressionProblem, w,
-                     batch: BatchSelector = FULL_DATA) -> Tuple[float, Array]:
-    """Mini-batch loss and gradient in one evaluation."""
-    return p.loss_grad(w, batch)
-
-
 def generate_dataset(seed: int, n: int, d: int,
                      l2_penalty: float = 0.0) -> LogisticRegressionProblem:
     """Seeded synthetic dataset: standard-normal features, a planted linear
@@ -246,6 +222,3 @@ def generate_dataset(seed: int, n: int, d: int,
     return LogisticRegressionProblem(x, y, l2_penalty=l2_penalty,
                                      generator_seed=seed)
 
-
-_ROSENBROCK = RosenbrockProblem()
-_BEALE = BealeProblem()

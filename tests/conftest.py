@@ -1,7 +1,6 @@
 """Shared fixtures and numerical oracles for the test suite."""
 
 import numpy as np
-import pytest
 
 import genopt
 from genopt.core import FULL_DATA, Objective
@@ -96,9 +95,3 @@ def random_spd_problem(rng, max_dim=10):
     offset = rng.standard_normal(d)
     return genopt.QuadraticProblem(a, offset=offset)
 
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure math only."""
-    genopt.warmup()
-    return None

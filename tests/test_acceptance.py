@@ -1,8 +1,8 @@
 """Acceptance suite: the quantitative claims this package stands on.
 
 Each test checks one claim end to end and prints a single PASS/FAIL line
-(run pytest with -s to see them). Timed claims measure wall time after
-the jitted kernels are warm, so the budgets hold on both kernel paths.
+(run pytest with -s to see them). Timed claims measure wall time on the
+numpy kernels.
 """
 
 import time
@@ -41,7 +41,7 @@ def _rel(a, b):
 # ---------------------------------------------------------------------------
 
 
-def test_c01_probe_fit_exact_on_quadratics(warm_kernels):
+def test_c01_probe_fit_exact_on_quadratics():
     """On a quadratic the 3-point fit recovers the analytic step exactly."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -61,7 +61,7 @@ def test_c01_probe_fit_exact_on_quadratics(warm_kernels):
             f"{elapsed:.2f}s (limit 1s)")
 
 
-def test_c02_fit_agrees_with_closed_form(warm_kernels):
+def test_c02_fit_agrees_with_closed_form():
     """The least-squares fit and the closed-form 3-point step are the same
     computation written two ways; on 1e5 well-scaled loss triples they
     must agree to 1e-12 relative.
@@ -100,7 +100,7 @@ def test_c02_fit_agrees_with_closed_form(warm_kernels):
             f"(limit 1e-12), {elapsed:.2f}s (limit 5s)")
 
 
-def test_c03_newton_direction_one_step(warm_kernels):
+def test_c03_newton_direction_one_step():
     """With the Newton direction the fitted step is 1, landing on the
     minimizer of a quadratic in a single iteration."""
     rng = np.random.default_rng(3)
@@ -120,7 +120,7 @@ def test_c03_newton_direction_one_step(warm_kernels):
             f"worst one-step error ratio {worst:.3e} (limit 1e-9)")
 
 
-def test_c04_step_is_scale_invariant(warm_kernels):
+def test_c04_step_is_scale_invariant():
     """Rescaling the probe direction by c rescales the fitted rate by 1/c,
     so the applied update is unchanged. Checked through both estimator
     routes on both 2-D test surfaces."""
@@ -179,7 +179,7 @@ def _menu_best(problem, opt_kind, tuned_eta, iterations=1000):
     return best
 
 
-def test_c05_adaptive_matches_tuned_baselines(warm_kernels):
+def test_c05_adaptive_matches_tuned_baselines():
     """Benchmark ordering under matched tuning: for every problem/optimizer
     pairing the adaptive menu (6 configs) reaches a final loss at or below
     the grid-tuned constant rate (18 configs) after 1000 iterations.
@@ -206,7 +206,7 @@ def test_c05_adaptive_matches_tuned_baselines(warm_kernels):
             f"{detail}; {elapsed:.1f}s (limit 30s)")
 
 
-def test_c06_candidate_noise_scales_with_batch_size(warm_kernels):
+def test_c06_candidate_noise_scales_with_batch_size():
     """Mini-batch spread of the fitted step follows the 1/sqrt(B) law:
     log-log slope of std vs batch size near -1/2."""
     t0 = time.perf_counter()
@@ -220,7 +220,7 @@ def test_c06_candidate_noise_scales_with_batch_size(warm_kernels):
             f"{elapsed:.1f}s (limit 60s)")
 
 
-def test_c07_probe_spacing_error_is_second_order(warm_kernels):
+def test_c07_probe_spacing_error_is_second_order():
     """Against the exact curvature step, the 3-point estimate's error
     shrinks quadratically in the probe spacing."""
     obj = Cubic1D()
@@ -239,7 +239,7 @@ def test_c07_probe_spacing_error_is_second_order(warm_kernels):
             f"errors {['%.2e' % e for e in errs]})")
 
 
-def test_c08_quadratic_convergence_with_exact_curvature(warm_kernels):
+def test_c08_quadratic_convergence_with_exact_curvature():
     """Newton direction plus curvature-exact rate converges quadratically
     on the quartic-like surface from a near-minimum start."""
     spec = spec_from_dict({
@@ -266,7 +266,7 @@ def test_c08_quadratic_convergence_with_exact_curvature(warm_kernels):
             f"best error {min(errs):.2e} within {len(errs) - 1} iterations")
 
 
-def test_c09_lazy_schedule_and_guards(warm_kernels):
+def test_c09_lazy_schedule_and_guards():
     """Fit attempts follow the laziness schedule exactly; rejected fits
     never move the learning rate; concave probes trip the curvature
     guard."""
@@ -310,7 +310,7 @@ def test_c09_lazy_schedule_and_guards(warm_kernels):
             f"({frozen_ok}), concave guard ({concave_ok})")
 
 
-def test_c10_recovers_from_bad_starting_rate(warm_kernels):
+def test_c10_recovers_from_bad_starting_rate():
     """Starting rates three decades apart converge to matching losses on
     the reference logistic problem."""
     finals = []
@@ -330,7 +330,7 @@ def test_c10_recovers_from_bad_starting_rate(warm_kernels):
             f"gap {100 * gap:.3f}% (limit 5%)")
 
 
-def test_c11_trajectories_are_byte_reproducible(tmp_path, warm_kernels):
+def test_c11_trajectories_are_byte_reproducible(tmp_path):
     """Running the same config twice produces byte-identical trajectory
     files, including an adaptive run and a mini-batch run."""
     import yaml

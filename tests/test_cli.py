@@ -152,6 +152,55 @@ def test_run_parallel_jobs_match_serial(tmp_path):
             (tmp_path / "par" / fname).read_bytes()
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with an inline one; record max_workers."""
+    import genopt.cli
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(genopt.cli, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, pool_sizes, jobs):
+    cfg = _write_config(tmp_path, _basic_experiments())
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 2
+    assert _stderr_code(capsys) == "cli.jobs"
+    assert pool_sizes == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs, cpus, expect", [
+    (64, 8, [3]),  # capped by the three specs
+    (64, 2, [2]),  # capped by the cpu count
+    (2, 8, [2]),   # as asked
+    (64, 1, []),   # one cpu: serial, no pool
+])
+def test_run_caps_workers(tmp_path, monkeypatch, pool_sizes, jobs, cpus,
+                          expect):
+    experiments = _basic_experiments()
+    experiments.append(dict(experiments[0], name="fixed2"))
+    cfg = _write_config(tmp_path, experiments)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert main(["run", "--config", cfg, "--jobs", str(jobs)]) == 0
+    assert pool_sizes == expect
+
+
 def test_run_diverged_is_still_exit_zero(tmp_path):
     exp = [{
         "name": "blowup",

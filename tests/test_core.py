@@ -13,9 +13,7 @@ from genopt.core import (
     StepRecord,
     SyntheticNoise,
     as_param_vector,
-    axpy,
     check_finite,
-    dot,
 )
 
 
@@ -48,34 +46,6 @@ def test_check_finite_passthrough_and_raise():
     assert check_finite(a, "a") is a
     with pytest.raises(NonFiniteError):
         check_finite(np.array([np.nan]), "bad")
-
-
-def test_axpy_matches_manual():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = rng.standard_normal(5)
-        y = rng.standard_normal(5)
-        alpha = float(rng.standard_normal())
-        np.testing.assert_allclose(axpy(alpha, x, y), alpha * x + y, rtol=1e-15)
-
-
-def test_axpy_shape_and_finite_checks():
-    with pytest.raises(DimensionMismatchError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
-    with pytest.raises(NonFiniteError):
-        axpy(np.inf, np.ones(2), np.ones(2))
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError):
-            axpy(1e308, np.full(2, 1e308), np.zeros(2))
-
-
-def test_dot_matches_numpy():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(8)
-    y = rng.standard_normal(8)
-    assert dot(x, y) == pytest.approx(float(np.dot(x, y)), rel=1e-15)
-    with pytest.raises(DimensionMismatchError):
-        dot(np.zeros(2), np.zeros(4))
 
 
 def test_index_set_validation():

@@ -11,11 +11,7 @@ from genopt.problems import (
     LogisticRegressionProblem,
     QuadraticProblem,
     RosenbrockProblem,
-    beale_eval,
     generate_dataset,
-    logreg_minibatch,
-    quadratic_eval,
-    rosenbrock_eval,
 )
 
 
@@ -79,20 +75,6 @@ def test_hvp_via_exact_hessian():
             np.testing.assert_allclose(p.hvp(w, v), p.hessian(w) @ v, rtol=1e-14)
 
 
-def test_eval_helpers_agree_with_classes():
-    w = np.array([0.3, -1.2])
-    p = RosenbrockProblem()
-    l, g, h = rosenbrock_eval(w)
-    assert l == p.loss(w)
-    np.testing.assert_array_equal(g, p.grad(w))
-    np.testing.assert_array_equal(h, p.hessian(w))
-    b = BealeProblem()
-    l2, g2, h2 = beale_eval(w)
-    assert l2 == b.loss(w)
-    np.testing.assert_array_equal(g2, b.grad(w))
-    np.testing.assert_array_equal(h2, b.hessian(w))
-
-
 # ---------------------------------------------------------------------------
 # Quadratic
 
@@ -130,6 +112,14 @@ def test_quadratic_loss_grad_hessian():
         assert p.loss(w) == pytest.approx(0.5 * r @ a @ r, rel=1e-14)
         np.testing.assert_allclose(p.grad(w), a @ r, rtol=1e-14)
         np.testing.assert_array_equal(p.hessian(w), p.matrix_a)
+
+
+def test_quadratic_diagonal_values():
+    p = QuadraticProblem(np.diag([2.0, 8.0]))
+    w = np.array([1.0, 1.0])
+    assert p.loss(w) == 5.0
+    np.testing.assert_array_equal(p.grad(w), [2.0, 8.0])
+    np.testing.assert_array_equal(p.hessian(w), np.diag([2.0, 8.0]))
 
 
 def test_quadratic_taylor_identity_is_exact():
@@ -227,25 +217,6 @@ def test_logreg_synthetic_noise_batches():
     assert p.loss(w, full) == p.loss(w, FULL_DATA)
     with pytest.raises(ValueError):
         p.loss(w, SyntheticNoise(seed=0, batch_size=33))
-
-
-def test_logreg_minibatch_helper():
-    p = _tiny_logreg(n=16, d=2)
-    w = np.array([0.2, -0.3])
-    b = SyntheticNoise(seed=4, batch_size=4)
-    l, g = logreg_minibatch(p, w, b)
-    l2, g2 = p.loss_grad(w, b)
-    assert l == l2
-    np.testing.assert_array_equal(g, g2)
-
-
-def test_quadratic_eval_helper():
-    p = QuadraticProblem(np.diag([2.0, 8.0]))
-    w = np.array([1.0, 1.0])
-    l, g, h = quadratic_eval(p, w)
-    assert l == 5.0
-    np.testing.assert_array_equal(g, [2.0, 8.0])
-    np.testing.assert_array_equal(h, np.diag([2.0, 8.0]))
 
 
 # ---------------------------------------------------------------------------
