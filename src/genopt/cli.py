@@ -242,6 +242,10 @@ def cmd_run(config_path: str, output_dir: Optional[str] = None,
 def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
                     jobs: int = 1, seed: Optional[int] = None) -> int:
     """Tune each experiment's constant learning rate over the 18-point grid."""
+    if jobs > 1:
+        _err("cli.jobs", f"grid-search runs serially; --jobs must be 1, "
+                         f"got {jobs}")
+        return 2
     try:
         config = load_config(config_path)
         specs = _apply_seed_override(config.experiments, seed)

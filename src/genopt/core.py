@@ -10,7 +10,7 @@ boundary instead of propagating NaN into downstream state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -98,8 +98,12 @@ class Objective:
     """Evaluation interface implemented by every problem.
 
     ``loss`` and ``grad`` must be deterministic functions of ``(w, batch)``.
-    Implementations are immutable after construction and safe for concurrent
-    read-only evaluation. ``batch`` is ignored by deterministic objectives.
+    ``loss_grad`` returns both from one evaluation; the default calls
+    ``loss`` then ``grad``, and an override must return the same bits.
+    No evaluation changes a later result, so implementations are safe for
+    concurrent evaluation; a cache (the logistic problem keeps its last
+    mini-batch) is allowed on that condition. ``batch`` is ignored by
+    deterministic objectives.
     """
 
     dim: int = 0
@@ -114,6 +118,10 @@ class Objective:
 
     def grad(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         raise NotImplementedError
+
+    def loss_grad(self, w: Array, batch: BatchSelector = FULL_DATA
+                  ) -> Tuple[float, Array]:
+        return float(self.loss(w, batch)), self.grad(w, batch)
 
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         raise NotImplementedError("objective has no exact hessian")

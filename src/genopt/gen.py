@@ -370,18 +370,20 @@ ETA0_GRID = tuple(10.0 ** k for k in range(-6, 3))
 
 
 def auto_search_eta0(obj: Objective, w: Array, direction: Array,
-                     batch: BatchSelector = FULL_DATA) -> float:
+                     batch: BatchSelector = FULL_DATA,
+                     l_zero: Optional[float] = None) -> float:
     """Coarse one-shot search for a starting learning rate.
 
     Evaluates L(w - eta * direction) on a decade grid from 1e-6 to 1e2 and
     returns the eta with the lowest finite loss; ties go to the smaller
     eta. If no grid point improves on the current loss (uphill direction)
-    that is logged as a warning and the smallest grid eta wins. Raises
-    ValueError when every grid point blows up.
+    that is logged as a warning and the smallest grid eta wins. The
+    current loss is ``l_zero`` when the caller already has it, else it is
+    evaluated here. Raises ValueError when every grid point blows up.
     """
     w = np.asarray(w, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
-    l_current = float(obj.loss(w, batch))
+    l_current = float(obj.loss(w, batch) if l_zero is None else l_zero)
     best_eta = None
     best_loss = math.inf
     for eta in ETA0_GRID:

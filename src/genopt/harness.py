@@ -489,8 +489,9 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
     if mode == "fixed" and eta is None:
         raise SpecError("config.needs-eta-or-gen",
                         "experiment needs a fixed eta or gen settings")
+    # on the full batch the post-step (loss, grad) is the next step's start
     constant_batch = batch_size is None
-    cached_loss: Optional[float] = None
+    carried: Optional[Tuple[float, Array]] = None
 
     def diverged(t: int, l0: float, grad_norm: float) -> str:
         # record the step whose loss, gradient or direction blew up
@@ -503,14 +504,15 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                      divide="ignore"):
         for t in range(1, iterations + 1):
             batch = _step_batch(seed, t, batch_size)
-            if constant_batch and cached_loss is not None:
-                l0 = cached_loss
+            if carried is not None:
+                l0, g = carried
             else:
-                l0 = float(problem.loss(w, batch))
+                l0, g = problem.loss_grad(w, batch)
+            l0 = float(l0)
             if not math.isfinite(l0) or l0 > DIVERGENCE_LOSS:
                 status = diverged(t, l0, math.nan)
                 break
-            g = np.asarray(problem.grad(w, batch), dtype=np.float64)
+            g = np.asarray(g, dtype=np.float64)
             if not np.all(np.isfinite(g)):
                 status = diverged(t, l0, math.nan)
                 break
@@ -522,7 +524,7 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
             if mode != "fixed" and eta is None:
                 # first step: resolve the starting rate, then build state
                 if gen_cfg["eta0"] == "auto":
-                    eta = auto_search_eta0(problem, w, d, batch)
+                    eta = auto_search_eta0(problem, w, d, batch, l_zero=l0)
                 else:
                     eta = float(gen_cfg["eta0"])
                 if mode == "fit":
@@ -569,8 +571,11 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                 records.append(replace(base, loss=l0, grad_norm=grad_norm))
                 break
             ws.append(w.copy())
-            l_post = float(problem.loss(w, batch))
-            cached_loss = l_post if constant_batch else None
+            if constant_batch and t < iterations:
+                carried = problem.loss_grad(w, batch)
+                l_post = float(carried[0])
+            else:
+                l_post = float(problem.loss(w, batch))
             blew_up = not math.isfinite(l_post) or l_post > DIVERGENCE_LOSS
             if blew_up:
                 status = "diverged"
@@ -714,8 +719,7 @@ def error_scaling_study(problem: LogisticRegressionProblem,
             child = int(np.random.SeedSequence([seed, bi, t])
                         .generate_state(1)[0])
             batch = SyntheticNoise(seed=child, batch_size=int(b))
-            l0 = problem.loss(w, batch)
-            g = problem.grad(w, batch)
+            l0, g = problem.loss_grad(w, batch)
             probes = probe_losses(problem, w, g, eta_prev, batch, 3,
                                   l_zero=l0)
             fit = fit_quadratic(probes)

@@ -64,28 +64,31 @@ def beale_hess(x1: float, x2: float):
 
 # ---------------------------------------------------------------------------
 # logistic regression, vectorized
+#
+# Both kernels share one pass over the margins z = x @ w. With
+# e = exp(-|z|) in (0, 1], softplus(z) = log(1 + exp(z)) is
+# max(z, 0) + log1p(e) and sigmoid(z) is 1 / (1 + e) for z > 0 and
+# e / (1 + e) otherwise. exp never sees a positive argument, so neither
+# form can overflow at any finite margin.
 
-def _sigmoid(z):
-    # two-branch form stays overflow-free for any z
-    p = np.empty_like(z)
-    pos = z > 0.0
-    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    p[~pos] = ez / (1.0 + ez)
-    return p
+def _forward(x, y, w, l2):
+    # (loss, z, e): the loss plus the margins and exp(-|z|) the gradient reuses
+    z = x @ w
+    e = np.exp(-np.abs(z))
+    softplus = np.maximum(z, 0.0) + np.log1p(e)
+    loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * float(w @ w)
+    return loss, z, e
 
 
 def logreg_loss(x, y, w, l2):
-    z = x @ w
-    ce = np.logaddexp(0.0, z) - y * z
-    return float(np.mean(ce)) + 0.5 * l2 * float(w @ w)
+    return _forward(x, y, w, l2)[0]
 
 
 def logreg_loss_grad(x, y, w, l2):
-    z = x @ w
-    ce = np.logaddexp(0.0, z) - y * z
-    g = x.T @ (_sigmoid(z) - y) / x.shape[0] + l2 * w
-    return float(np.mean(ce)) + 0.5 * l2 * float(w @ w), g
+    loss, z, e = _forward(x, y, w, l2)
+    p = np.where(z > 0.0, 1.0, e) / (1.0 + e)
+    g = x.T @ (p - y) / x.shape[0] + l2 * w
+    return loss, g
 
 
 # genbench's kernel_path() reports "numpy" when logreg_loss is this alias

@@ -119,7 +119,9 @@ class LogisticRegressionProblem(Objective):
     """Mean binary cross-entropy plus 0.5 * l2_penalty * ||w||^2.
 
     Labels are 0/1. Mini-batches select rows of the feature matrix; see
-    ``SyntheticNoise`` for the seeded sampling contract.
+    ``SyntheticNoise`` for the seeded sampling contract. The rows of the
+    last ``SyntheticNoise`` draw are kept, so repeated evaluations on one
+    batch draw it once.
     """
 
     has_exact_hessian = True
@@ -146,6 +148,9 @@ class LogisticRegressionProblem(Objective):
         self.dim = x.shape[1]
         self.default_start = np.zeros(self.dim)
         self._y64 = self.labels.astype(np.float64)
+        # (selector, x, y) of the last SyntheticNoise draw, replaced as one
+        # tuple so a concurrent reader never sees a mixed set
+        self._noise_memo = None
 
     def _resolve(self, batch: BatchSelector) -> Tuple[Array, Array]:
         if isinstance(batch, FullData):
@@ -158,6 +163,9 @@ class LogisticRegressionProblem(Objective):
                 raise ValueError("IndexSet index out of dataset bounds")
             return self.features[idx], self._y64[idx]
         if isinstance(batch, SyntheticNoise):
+            memo = self._noise_memo
+            if memo is not None and memo[0] == batch:
+                return memo[1], memo[2]
             if batch.batch_size > self.n_samples:
                 raise ValueError(
                     f"batch_size {batch.batch_size} exceeds dataset size "
@@ -167,7 +175,9 @@ class LogisticRegressionProblem(Objective):
             idx = rng.choice(self.n_samples, size=batch.batch_size,
                              replace=False, shuffle=False)
             idx.sort()
-            return self.features[idx], self._y64[idx]
+            memo = (batch, self.features[idx], self._y64[idx])
+            self._noise_memo = memo
+            return memo[1], memo[2]
         raise TypeError(f"unsupported batch selector: {batch!r}")
 
     def loss(self, w: Array, batch: BatchSelector = FULL_DATA) -> float:

@@ -313,6 +313,23 @@ def test_grid_search_rejects_gen_experiments(tmp_path, capsys):
     assert _stderr_code(capsys) == "config.grid.gen-not-allowed"
 
 
+def test_grid_search_rejects_jobs_above_one(tmp_path, capsys):
+    # the 18 rates run serially; a worker count would be silently ignored
+    exp = [{
+        "name": "tune",
+        "problem": {"kind": "quadratic",
+                    "matrix_a": [[1.0, 0.0], [0.0, 1.0]]},
+        "optimizer": {"kind": "sgd"},
+        "iterations": 10,
+        "start_point": [1.0, 0.0],
+    }]
+    cfg = _write_config(tmp_path, exp)
+    assert main(["grid-search", "--config", cfg, "--jobs", "2"]) == 2
+    assert _stderr_code(capsys) == "cli.jobs"
+    assert not (tmp_path / "out").exists()
+    assert main(["grid-search", "--config", cfg, "--jobs", "1"]) == 0
+
+
 def test_grid_search_all_diverged_is_runtime_error(tmp_path, capsys):
     exp = [{
         "name": "stiff",

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from genopt import kernels
+from genopt.gen import ETA0_GRID
 from genopt.harness import (
     CONVERGENCE_TOL,
     DIVERGENCE_LOSS,
@@ -329,6 +331,66 @@ def test_run_gen_stats_surface():
     assert result.gen_stats["fit_attempts"] == 2  # steps 8 and 16
     fixed = run_experiment(spec_from_dict(_minimal()))
     assert fixed.gen_stats is None
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the logreg kernel calls made while the test runs."""
+    calls = {"loss": 0, "loss_grad": 0}
+
+    def counting(name):
+        inner = getattr(kernels, f"logreg_{name}")
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, f"logreg_{name}", counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("eta0, extra", [(0.5, 0), ("auto", len(ETA0_GRID))])
+def test_full_batch_step_costs_three_kernel_passes(kernel_calls, eta0, extra):
+    # every step probes twice and carries its post-step loss and gradient
+    # into the next one; only the last step needs its post-step loss alone.
+    # The starting-rate search reuses the current loss: one pass per point.
+    n = 12
+    spec = spec_from_dict({
+        "problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
+        "optimizer": {"kind": "sgd"},
+        "iterations": n,
+        "gen": {"eta0": eta0, "phi": 1},
+    })
+    result = run_experiment(spec)
+    assert result.status == "ok" and len(result.records) == n
+    assert kernel_calls == {"loss": 2 * n + 1 + extra, "loss_grad": n}
+
+
+def test_minibatch_step_draws_its_batch_once(monkeypatch, kernel_calls):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    n = 10
+    spec = spec_from_dict({
+        "problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
+        "optimizer": {"kind": "sgd"},
+        "iterations": n,
+        "batch_size": 16,
+        "gen": {"eta0": 0.5, "phi": 1},
+    })
+    result = run_experiment(spec)
+    assert result.status == "ok"
+    # one draw builds the dataset, then one per step for four evaluations
+    assert seeds[0] == 3 and len(seeds) == n + 1
+    assert len(set(seeds[1:])) == n
+    assert kernel_calls == {"loss": 3 * n, "loss_grad": n}
 
 
 def test_run_rejects_bad_start_dimension():

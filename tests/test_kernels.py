@@ -39,3 +39,65 @@ def test_logreg_grad_matches_fd():
         fd = (kernels.logreg_loss(x, y, w + e, 0.0)
               - kernels.logreg_loss(x, y, w - e, 0.0)) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+# reference forms the fused kernels replaced: libm softplus through
+# np.logaddexp and the two-branch sigmoid over boolean masks
+
+def _ref_loss(x, y, w, l2):
+    z = x @ w
+    ce = np.logaddexp(0.0, z) - y * z
+    return float(np.mean(ce)) + 0.5 * l2 * float(w @ w)
+
+
+def _ref_sigmoid(z):
+    p = np.empty_like(z)
+    pos = z > 0.0
+    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    p[~pos] = ez / (1.0 + ez)
+    return p
+
+
+def _ref_grad(x, y, w, l2):
+    z = x @ w
+    return x.T @ (_ref_sigmoid(z) - y) / x.shape[0] + l2 * w
+
+
+def _margins():
+    mags = np.logspace(-5, np.log10(800.0), 401)
+    return np.concatenate([-mags[::-1], [-0.0, 0.0], mags,
+                           np.linspace(-30.0, 30.0, 601)])
+
+
+def test_logreg_softplus_and_sigmoid_per_margin():
+    # one row x = 1 with w = z and label 0: the loss is softplus(z) and the
+    # gradient sigmoid(z), so each shows undiluted. The softplus may sit a
+    # few ulp off libm's (numpy's SIMD exp); the sigmoid must not move.
+    x = np.array([[1.0]])
+    y = np.array([0.0])
+    for z in _margins():
+        w = np.array([z])
+        loss, g = kernels.logreg_loss_grad(x, y, w, 0.0)
+        ref = _ref_loss(x, y, w, 0.0)
+        assert abs(loss - ref) <= 4 * np.spacing(ref), z
+        assert np.array_equal(g, _ref_sigmoid(np.array([z]))), z
+        assert kernels.logreg_loss(x, y, w, 0.0) == loss
+
+
+def test_logreg_kernels_against_reference_forms():
+    rng = np.random.default_rng(23)
+    z = _margins()
+    cases = [(z[:, None], np.array([1.0])),
+             (rng.standard_normal((512, 4)), rng.standard_normal(4)),
+             (rng.standard_normal((512, 4)) * 60.0, rng.standard_normal(4))]
+    for x, w in cases:
+        y = (rng.random(x.shape[0]) < 0.5).astype(np.float64)
+        for l2 in (0.0, 0.1):
+            loss, g = kernels.logreg_loss_grad(x, y, w, l2)
+            # the gradient's sigmoid is the reference's, bit for bit
+            assert np.array_equal(g, _ref_grad(x, y, w, l2))
+            ref = _ref_loss(x, y, w, l2)
+            assert abs(loss - ref) <= 8 * np.spacing(ref)
+            # both kernels share one forward pass: the same loss bits
+            assert kernels.logreg_loss(x, y, w, l2) == loss

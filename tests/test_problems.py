@@ -219,6 +219,43 @@ def test_logreg_synthetic_noise_batches():
         p.loss(w, SyntheticNoise(seed=0, batch_size=33))
 
 
+def test_logreg_noise_memo_never_changes_a_result():
+    # the problem keeps its last SyntheticNoise draw; interleaving batches
+    # on one problem gives the bits a fresh problem gives for each
+    p = _tiny_logreg(n=32, d=2, l2=0.1)
+    w = np.array([0.3, -0.5])
+    batches = [SyntheticNoise(seed=s, batch_size=8) for s in (4, 5, 4, 4, 6, 5)]
+    for b in batches:
+        fresh = _tiny_logreg(n=32, d=2, l2=0.1)
+        assert p.loss(w, b) == fresh.loss(w, b)
+        np.testing.assert_array_equal(p.grad(w, b), fresh.grad(w, b))
+        np.testing.assert_array_equal(p.hessian(w, b), fresh.hessian(w, b))
+
+
+# ---------------------------------------------------------------------------
+# loss_grad: one evaluation, the bits of loss and grad
+
+
+@pytest.mark.parametrize("make", [
+    RosenbrockProblem,
+    BealeProblem,
+    lambda: QuadraticProblem([[4.0, 1.0], [1.0, 3.0]], offset=[2.0, -1.0]),
+    lambda: _tiny_logreg(l2=0.1),
+])
+def test_loss_grad_matches_loss_and_grad_bits(make):
+    p = make()
+    rng = np.random.default_rng(31)
+    batches = [FULL_DATA]
+    if isinstance(p, LogisticRegressionProblem):
+        batches.append(SyntheticNoise(seed=8, batch_size=16))
+    for _ in range(20):
+        w = rng.uniform(-3.0, 3.0, size=p.dim)
+        for b in batches:
+            loss, g = p.loss_grad(w, b)
+            assert type(loss) is float and loss == p.loss(w, b)
+            np.testing.assert_array_equal(g, p.grad(w, b))
+
+
 # ---------------------------------------------------------------------------
 # Synthetic dataset generation
 
