@@ -9,6 +9,7 @@ boundary instead of propagating NaN into downstream state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -25,6 +26,26 @@ class DimensionMismatchError(ValueError):
     """Vector dimensions disagree."""
 
 
+def all_finite(arr):
+    """The truth value of ``np.all(np.isfinite(arr))`` for any array-like.
+
+    Counting the finite entries skips the reduction machinery of
+    ``np.all``, which dominates the cost of a check on a short vector.
+    """
+    f = np.isfinite(arr)
+    return np.count_nonzero(f) == f.size
+
+
+def norm(v: Array) -> float:
+    """Euclidean norm of a 1-D float64 array: the bits of ``np.linalg.norm``.
+
+    numpy computes the 2-norm of a float vector as ``sqrt(v . v)``; calling
+    the dot product directly skips the wrapper's dispatch. Overflow of the
+    squared sum gives inf, and a NaN entry gives NaN, as in numpy.
+    """
+    return math.sqrt(float(v.dot(v)))
+
+
 def as_param_vector(values, dim: Optional[int] = None) -> Array:
     """Validate ``values`` as a finite 1-D float64 vector and return a copy."""
     arr = np.array(values, dtype=np.float64, copy=True)
@@ -34,13 +55,13 @@ def as_param_vector(values, dim: Optional[int] = None) -> Array:
         raise DimensionMismatchError(
             f"expected dimension {dim}, got {arr.size}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NonFiniteError("parameter vector contains NaN or Inf")
     return arr
 
 
 def check_finite(arr: Array, what: str) -> Array:
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NonFiniteError(f"{what} contains NaN or Inf")
     return arr
 

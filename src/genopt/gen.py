@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -35,6 +36,7 @@ from .core import (
     NonFiniteError,
     Objective,
     StepRecord,
+    norm,
 )
 from .optim import apply_step
 
@@ -117,7 +119,8 @@ def fit_quadratic(probes) -> QuadraticFit:
     ``probes`` must hold at least three (eta, loss) pairs with distinct
     etas, one of them eta = 0; the curve is forced through that point by
     fitting loss differences. Degenerate data (flat losses, singular
-    normal equations) comes back as a zero fit that fails every guard;
+    normal equations, loss differences whose squares overflow) comes back
+    as a zero fit that fails every guard;
     structural problems with the input raise ValueError.
     """
     pairs = [(float(e), float(l)) for e, l in probes]
@@ -155,24 +158,29 @@ def fit_quadratic(probes) -> QuadraticFit:
     if not (math.isfinite(curvature) and math.isfinite(slope)):
         return REJECTED
 
-    ss_tot = 0.0
-    for e, l in pairs:
-        if e != 0.0:
-            ss_tot += (l - l_zero) ** 2
-    if ss_tot == 0.0:
-        # flat probe pattern carries no signal
-        return QuadraticFit(curvature=curvature, slope=slope, r2=0.0)
-    nonzero = sum(1 for e, _ in pairs if e != 0.0)
-    if nonzero == 2:
-        # two unknowns, two informative points: exact interpolation
-        r2 = 1.0
-    else:
-        ss_res = 0.0
+    try:
+        ss_tot = 0.0
         for e, l in pairs:
             if e != 0.0:
-                pred = 0.5 * curvature * e * e - slope * e
-                ss_res += (l - l_zero - pred) ** 2
-        r2 = 1.0 - ss_res / ss_tot
+                ss_tot += (l - l_zero) ** 2
+        if ss_tot == 0.0:
+            # flat probe pattern carries no signal
+            return QuadraticFit(curvature=curvature, slope=slope, r2=0.0)
+        nonzero = sum(1 for e, _ in pairs if e != 0.0)
+        if nonzero == 2:
+            # two unknowns, two informative points: exact interpolation
+            r2 = 1.0
+        else:
+            ss_res = 0.0
+            for e, l in pairs:
+                if e != 0.0:
+                    pred = 0.5 * curvature * e * e - slope * e
+                    ss_res += (l - l_zero - pred) ** 2
+            r2 = 1.0 - ss_res / ss_tot
+    except OverflowError:
+        # a float power raises where a product would give inf: loss
+        # differences past 1e154 are a blown-up probe, not a parabola
+        return REJECTED
     return QuadraticFit(curvature=curvature, slope=slope, r2=r2)
 
 
@@ -246,7 +254,8 @@ class GenController:
             raise ValueError("gamma must be in [0, 1)")
         if self.phi < 1:
             raise ValueError("phi must be >= 1")
-        if self.probe_points not in (3, 5):
+        if (not isinstance(self.probe_points, numbers.Integral)
+                or self.probe_points not in (3, 5)):
             raise ValueError("probe_points must be 3 or 5")
         if not 0.0 < self.r2_threshold <= 1.0:
             raise ValueError("r2_threshold must be in (0, 1]")
@@ -321,7 +330,7 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
         step=ctrl.step,
         loss=float(l_zero),
         eta=ctrl.eta,
-        grad_norm=float(np.linalg.norm(direction)),
+        grad_norm=norm(np.asarray(direction, dtype=np.float64)),
         eta_candidate=eta_candidate,
         fit_accepted=accepted,
         fit_r2=fit_r2,
@@ -348,7 +357,7 @@ def exact_eta_hvp(obj: Objective, w: Array, raw_grad: Array, direction: Array,
     d = np.asarray(direction, dtype=np.float64)
     if w.shape != g.shape or w.shape != d.shape:
         raise ValueError("w, raw_grad, and direction must share a shape")
-    d_norm = float(np.linalg.norm(d))
+    d_norm = norm(d)
     if d_norm == 0.0:
         return None
     use_exact = method == "exact" or (
@@ -356,7 +365,7 @@ def exact_eta_hvp(obj: Objective, w: Array, raw_grad: Array, direction: Array,
     if use_exact:
         hd = obj.hvp(w, d, batch)
     else:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(w))) / d_norm
+        h = 1e-5 * (1.0 + norm(w)) / d_norm
         hd = (obj.grad(w + h * d, batch) - obj.grad(w - h * d, batch)) / (2.0 * h)
     denom = float(np.dot(d, hd))
     num = float(np.dot(g, d))

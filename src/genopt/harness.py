@@ -25,7 +25,9 @@ from .core import (
     Objective,
     StepRecord,
     SyntheticNoise,
+    all_finite,
     as_param_vector,
+    norm,
 )
 from .gen import (
     GenController,
@@ -85,6 +87,10 @@ class SpecError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # a worker's error reaches the parent pickled; keep its code
+        return type(self), (self.code, str(self))
 
 
 class GridSearchError(RuntimeError):
@@ -316,7 +322,7 @@ def _validate_gen(data: Dict, where: str) -> Dict:
     if not _is_int(cfg["phi"]) or cfg["phi"] < 1:
         raise SpecError("config.gen.phi",
                         f"phi at {where} must be an integer >= 1")
-    if cfg["probe_points"] not in (3, 5):
+    if not _is_int(cfg["probe_points"]) or cfg["probe_points"] not in (3, 5):
         raise SpecError("config.gen.probe-points",
                         f"probe_points at {where} must be 3 or 5")
     if not _is_num(cfg["r2_threshold"]) or not 0.0 < cfg["r2_threshold"] <= 1.0:
@@ -513,12 +519,12 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                 status = diverged(t, l0, math.nan)
                 break
             g = np.asarray(g, dtype=np.float64)
-            if not np.all(np.isfinite(g)):
+            if not all_finite(g):
                 status = diverged(t, l0, math.nan)
                 break
             d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
-            if not np.all(np.isfinite(d)):
-                status = diverged(t, l0, float(np.linalg.norm(g)))
+            if not all_finite(d):
+                status = diverged(t, l0, norm(g))
                 break
 
             if mode != "fixed" and eta is None:
@@ -561,7 +567,7 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
             else:
                 gen_rec = None
 
-            grad_norm = float(np.linalg.norm(g))
+            grad_norm = norm(g)
             try:
                 w = apply_step(w, eta, d)
             except NonFiniteError:
@@ -755,7 +761,7 @@ def convergence_metrics(result: RunResult, optimum
     iterations-to-tolerance.
     """
     w_star = as_param_vector(optimum)
-    errs = [float(np.linalg.norm(w - w_star)) for w in result.ws]
+    errs = [norm(w - w_star) for w in result.ws]
     iters: Optional[int] = None
     if result.status == "ok":
         for i, e in enumerate(errs):

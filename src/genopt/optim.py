@@ -8,12 +8,19 @@ every optimizer here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .core import Array, DimensionMismatchError, as_param_vector, check_finite
+from .core import (
+    Array,
+    DimensionMismatchError,
+    as_param_vector,
+    check_finite,
+    norm,
+)
 
 
 @dataclass
@@ -137,10 +144,10 @@ def post_process(pp: PostProcessor, g: Array) -> Array:
     if isinstance(pp, SignSgd):
         return np.sign(g)
     if isinstance(pp, ClipToNorm):
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
+        g_norm = norm(g)
+        if g_norm == 0.0:
             return g.copy()
-        return g * min(pp.max_norm / norm, 1.0)
+        return g * min(pp.max_norm / g_norm, 1.0)
     if isinstance(pp, Mask):
         m = np.asarray(pp.mask)
         if m.shape != g.shape:
@@ -159,7 +166,7 @@ def apply_step(w: Array, eta: float, direction: Array) -> Array:
         raise DimensionMismatchError(
             f"parameter shape {w.shape} != direction shape {d.shape}"
         )
-    if not np.isfinite(eta):
+    if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
     out = w - eta * d
     return check_finite(out, "stepped parameters")

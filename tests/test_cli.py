@@ -2,6 +2,7 @@
 the single-line stderr error contract."""
 
 import csv
+import pickle
 
 import pytest
 import yaml
@@ -154,7 +155,11 @@ def test_run_parallel_jobs_match_serial(tmp_path):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pool with an inline one; record max_workers."""
+    """Replace the process pool with an inline one; record max_workers.
+
+    Like a real pool, it sends the function, each argument, each result and
+    each exception through pickle.
+    """
     import genopt.cli
 
     sizes = []
@@ -170,7 +175,13 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            fn = pickle.loads(pickle.dumps(fn))
+            for item in items:
+                try:
+                    out = fn(pickle.loads(pickle.dumps(item)))
+                except Exception as e:
+                    raise pickle.loads(pickle.dumps(e)) from None
+                yield pickle.loads(pickle.dumps(out))
 
     monkeypatch.setattr(genopt.cli, "ProcessPoolExecutor", InlinePool)
     return sizes
@@ -199,6 +210,16 @@ def test_run_caps_workers(tmp_path, monkeypatch, pool_sizes, jobs, cpus,
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     assert main(["run", "--config", cfg, "--jobs", str(jobs)]) == 0
     assert pool_sizes == expect
+
+
+def test_run_worker_spec_error_keeps_its_code(tmp_path, monkeypatch, capsys,
+                                              pool_sizes):
+    # the seed override is validated inside run_experiment, in the worker
+    cfg = _write_config(tmp_path, _basic_experiments())
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert main(["run", "--config", cfg, "--jobs", "2", "--seed", "-1"]) == 2
+    assert _stderr_code(capsys) == "config.seed"
+    assert pool_sizes == [2]
 
 
 def test_run_diverged_is_still_exit_zero(tmp_path):
@@ -272,6 +293,14 @@ def test_run_duplicate_names(tmp_path, capsys):
     cfg = _write_config(tmp_path, exps)
     assert main(["run", "--config", cfg]) == 2
     assert _stderr_code(capsys) == "config.duplicate-name"
+
+
+def test_run_float_probe_points_is_a_config_error(tmp_path, capsys):
+    exps = _basic_experiments()
+    exps[1]["gen"]["probe_points"] = 3.0
+    cfg = _write_config(tmp_path, exps)
+    assert main(["run", "--config", cfg]) == 2
+    assert _stderr_code(capsys) == "config.gen.probe-points"
 
 
 def test_error_line_is_single_line(tmp_path, capsys):

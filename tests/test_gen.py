@@ -256,6 +256,9 @@ def test_controller_validation():
     with pytest.raises(ValueError):
         GenController(eta=0.1, probe_points=4)
     with pytest.raises(ValueError):
+        GenController(eta=0.1, probe_points=3.0)
+    GenController(eta=0.1, probe_points=np.int64(5))
+    with pytest.raises(ValueError):
         GenController(eta=0.1, r2_threshold=0.0)
     with pytest.raises(ValueError):
         GenController(eta=0.1, r2_threshold=1.5)

@@ -3,6 +3,7 @@ grid-search baselines, and the study helpers."""
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -87,6 +88,13 @@ def test_spec_from_dict_rejects(mutate, code):
     assert _code(e) == code
 
 
+def test_spec_error_survives_pickle():
+    e = pickle.loads(pickle.dumps(SpecError("config.seed", "bad seed")))
+    assert type(e) is SpecError
+    assert e.code == "config.seed"
+    assert str(e) == "bad seed"
+
+
 def test_spec_eta_and_gen_conflict():
     with pytest.raises(SpecError) as e:
         spec_from_dict(_minimal(gen={"eta0": 0.1}))
@@ -162,6 +170,8 @@ def test_sgd_momentum_key_name():
         ({"estimator": "magic"}, "config.gen.estimator"),
         ({"decay": True, "estimator": "hvp"}, "config.gen.decay-hvp"),
         ({"period": 3}, "config.unknown-key"),
+        ({"probe_points": 3.0}, "config.gen.probe-points"),
+        ({"probe_points": 5.0}, "config.gen.probe-points"),
     ],
 )
 def test_gen_validation(gen, code):
