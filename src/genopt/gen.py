@@ -88,7 +88,7 @@ def probe_losses(obj: Objective, w: Array, direction: Array, eta_prev: float,
     finite, so callers can treat a blown-up probe as a rejected fit rather
     than a crash.
     """
-    if points not in (3, 5):
+    if not isinstance(points, numbers.Integral) or points not in (3, 5):
         raise ValueError(f"points must be 3 or 5, got {points}")
     if not (eta_prev > 0 and math.isfinite(eta_prev)):
         raise ValueError(f"eta_prev must be positive and finite, got {eta_prev}")

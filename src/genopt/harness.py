@@ -10,6 +10,7 @@ territory without aborting the sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -417,9 +418,18 @@ def build_problem(data: Dict) -> Objective:
     if kind == "quadratic":
         return QuadraticProblem(data["matrix_a"], offset=data.get("offset"))
     if kind == "logreg":
-        return generate_dataset(data["seed"], data["n"], data["d"],
-                                l2_penalty=data.get("l2_penalty", 0.0))
+        return _logreg_dataset(data["seed"], data["n"], data["d"],
+                               float(data.get("l2_penalty", 0.0)))
     raise SpecError("config.problem.kind", f"unknown problem kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _logreg_dataset(seed: int, n: int, d: int,
+                    l2_penalty: float) -> LogisticRegressionProblem:
+    # one build per process for the experiments of a command that share a
+    # dataset; the Objective contract makes the shared instance safe, since
+    # no evaluation changes a later result
+    return generate_dataset(seed, n, d, l2_penalty=l2_penalty)
 
 
 def _build_post_processor(data: Optional[Dict]):

@@ -66,17 +66,32 @@ def beale_hess(x1: float, x2: float):
 # logistic regression, vectorized
 #
 # Both kernels share one pass over the margins z = x @ w. With
-# e = exp(-|z|) in (0, 1], softplus(z) = log(1 + exp(z)) is
+# e = exp(-|z|) in [0, 1], softplus(z) = log(1 + exp(z)) is
 # max(z, 0) + log1p(e) and sigmoid(z) is 1 / (1 + e) for z > 0 and
 # e / (1 + e) otherwise. exp never sees a positive argument, so neither
-# form can overflow at any finite margin.
+# form can overflow at any finite margin. The gradient takes the
+# sigmoid's numerator as max(e, [z > 0]): e <= 1, so that is exactly 1.0
+# where z > 0 and e elsewhere, nan included, without the branch of a
+# select, which mispredicts on margins of random sign. Work arrays are
+# updated in place (never x, y, w or z) in the operand order of
+# (max(z, 0) + log1p(e)) - y * z, so every rounding is the plain
+# expression's.
 
 def _forward(x, y, w, l2):
     # (loss, z, e): the loss plus the margins and exp(-|z|) the gradient reuses
     z = x @ w
-    e = np.exp(-np.abs(z))
-    softplus = np.maximum(z, 0.0) + np.log1p(e)
-    loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * float(w @ w)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    t = np.maximum(z, 0.0)
+    u = np.log1p(e)
+    # softplus into u, then t = softplus - y * z; not t += u, which on a
+    # one-element array returns u's nan where t + u returns t's
+    np.add(t, u, out=u)
+    np.multiply(y, z, out=t)
+    np.subtract(u, t, out=t)
+    # the pairwise sum and one rounded division of np.mean
+    loss = float(t.sum()) / t.size + 0.5 * l2 * float(w @ w)
     return loss, z, e
 
 
@@ -86,8 +101,12 @@ def logreg_loss(x, y, w, l2):
 
 def logreg_loss_grad(x, y, w, l2):
     loss, z, e = _forward(x, y, w, l2)
-    p = np.where(z > 0.0, 1.0, e) / (1.0 + e)
-    g = x.T @ (p - y) / x.shape[0] + l2 * w
+    p = (z > 0.0).astype(np.float64)
+    np.maximum(e, p, out=p)
+    e += 1.0
+    p /= e
+    p -= y
+    g = x.T @ p / x.shape[0] + l2 * w
     return loss, g
 
 

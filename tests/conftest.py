@@ -1,9 +1,18 @@
 """Shared fixtures and numerical oracles for the test suite."""
 
 import numpy as np
+import pytest
 
 import genopt
+from genopt import harness
 from genopt.core import FULL_DATA, Objective
+
+
+@pytest.fixture(autouse=True)
+def fresh_dataset_memo():
+    """Start every test with no logreg dataset built in the process, so no
+    test depends on which dataset an earlier one left in the memo."""
+    harness._logreg_dataset.cache_clear()
 
 
 def fd_gradient(obj, w, h=1e-6, batch=FULL_DATA):

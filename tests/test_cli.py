@@ -7,6 +7,7 @@ import pickle
 import pytest
 import yaml
 
+from genopt import harness
 from genopt.cli import FORMAT_VERSION, fmt, main
 
 QUAD = {"kind": "quadratic", "matrix_a": [[2.0, 0.0], [0.0, 8.0]]}
@@ -139,6 +140,27 @@ def test_run_seed_override_changes_stochastic_runs(tmp_path):
     a = (tmp_path / "a" / "minibatch.trajectory.csv").read_bytes()
     b = (tmp_path / "b" / "minibatch.trajectory.csv").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_command_builds_a_shared_dataset_once(tmp_path, monkeypatch,
+                                              command):
+    built = []
+    inner = harness.generate_dataset
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_dataset", counting)
+    common = {"problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
+              "optimizer": {"kind": "sgd"}, "iterations": 5,
+              "batch_size": 16}
+    exp = [dict(common, name="fixed", eta=0.05),
+           dict(common, name="adaptive", gen={"eta0": 0.05})]
+    cfg = _write_config(tmp_path, exp)
+    assert main([command, "--config", cfg]) == 0
+    assert built == [(3, 128, 3)]
 
 
 def test_run_parallel_jobs_match_serial(tmp_path):

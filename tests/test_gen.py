@@ -68,6 +68,10 @@ def test_probe_losses_validation():
     d = np.array([1.0])
     with pytest.raises(ValueError):
         probe_losses(p, w, d, 0.5, points=4)
+    for points in (3.0, 5.0):
+        with pytest.raises(ValueError):
+            probe_losses(p, w, d, 0.5, points=points)
+    assert len(probe_losses(p, w, d, 0.5, points=np.int64(3))) == 3
     with pytest.raises(ValueError):
         probe_losses(p, w, d, 0.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from genopt import kernels
+from genopt import harness, kernels
 from genopt.gen import ETA0_GRID
 from genopt.harness import (
     CONVERGENCE_TOL,
@@ -401,6 +401,39 @@ def test_minibatch_step_draws_its_batch_once(monkeypatch, kernel_calls):
     assert seeds[0] == 3 and len(seeds) == n + 1
     assert len(set(seeds[1:])) == n
     assert kernel_calls == {"loss": 3 * n, "loss_grad": n}
+
+
+def _run_fingerprint(result):
+    # repr spells every float exactly, nan included
+    return (repr([dataclasses.astuple(r) for r in result.records]),
+            result.status, result.final_w.tobytes())
+
+
+def test_shared_dataset_gives_the_same_run():
+    problem = {"kind": "logreg", "seed": 5, "n": 300, "d": 4}
+    a = spec_from_dict({"problem": problem, "optimizer": {"kind": "adamw"},
+                        "iterations": 15, "batch_size": 32, "seed": 1,
+                        "gen": {"eta0": 0.05, "phi": 2}})
+    b = spec_from_dict({"problem": problem,
+                        "optimizer": {"kind": "sgd", "momentum": 0.9},
+                        "iterations": 25, "batch_size": 32, "seed": 2,
+                        "gen": {"eta0": "auto", "gamma": 0.9, "phi": 1}})
+    alone = _run_fingerprint(run_experiment(b))
+    harness._logreg_dataset.cache_clear()
+    run_experiment(a)
+    assert _run_fingerprint(run_experiment(b)) == alone
+
+
+def test_dataset_memo_keys_on_the_whole_problem():
+    base = {"kind": "logreg", "seed": 4, "n": 64, "d": 3}
+    first = build_problem(dict(base))
+    assert build_problem(dict(base, l2_penalty=0)) is first
+    for over in ({"seed": 5}, {"n": 65}, {"d": 2}, {"l2_penalty": 0.5}):
+        other = build_problem(dict(base, **over))
+        assert other is not first
+        assert other.generator_seed == over.get("seed", 4)
+        assert other.features.shape == (over.get("n", 64), over.get("d", 3))
+        assert other.l2_penalty == over.get("l2_penalty", 0.0)
 
 
 def test_run_rejects_bad_start_dimension():

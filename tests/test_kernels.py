@@ -1,5 +1,6 @@
 """The numpy kernels: the bound path genbench reports, stability at
-extreme margins, and gradients against finite differences."""
+extreme margins, gradients against finite differences, bit equality with
+the plain numpy expressions, and inputs left untouched."""
 
 import numpy as np
 import pytest
@@ -101,3 +102,64 @@ def test_logreg_kernels_against_reference_forms():
             assert abs(loss - ref) <= 8 * np.spacing(ref)
             # both kernels share one forward pass: the same loss bits
             assert kernels.logreg_loss(x, y, w, l2) == loss
+
+
+# the plain expressions the kernels must reproduce bit for bit: the
+# np.where sigmoid numerator, np.mean, and a fresh array per operation
+
+def _plain_loss_grad(x, y, w, l2):
+    z = x @ w
+    e = np.exp(-np.abs(z))
+    softplus = np.maximum(z, 0.0) + np.log1p(e)
+    loss = float(np.mean(softplus - y * z)) + 0.5 * l2 * float(w @ w)
+    p = np.where(z > 0.0, 1.0, e) / (1.0 + e)
+    return loss, x.T @ (p - y) / x.shape[0] + l2 * w
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _bit_cases():
+    # (x, y, w): every margin of _margins() plus +-inf and nan, each alone
+    # in a one-row batch and all together, then random batches with |w|
+    # from 1e-6 to 1e3
+    rng = np.random.default_rng(31)
+    z = np.concatenate([_margins(), [np.inf, -np.inf, np.nan]])
+    for zi in z:
+        yield np.array([[zi]]), np.array([0.0]), np.array([1.0])
+        yield np.array([[zi]]), np.array([1.0]), np.array([1.0])
+    yield z[:, None], (rng.random(z.size) < 0.5).astype(np.float64), \
+        np.array([1.0])
+    for n in (1, 7, 256, 16384):
+        for _ in range(5):
+            d = int(rng.integers(1, 9))
+            x = rng.standard_normal((n, d))
+            y = (rng.random(n) < 0.5).astype(np.float64)
+            w = rng.standard_normal(d) * 10.0 ** rng.uniform(-6.0, 3.0)
+            yield x, y, w
+
+
+# inf and nan margins are among the inputs of the two tests below
+_nonfinite_margins = pytest.mark.filterwarnings(
+    "ignore:invalid value:RuntimeWarning")
+
+
+@_nonfinite_margins
+def test_logreg_kernels_bit_equal_to_plain_expressions():
+    for x, y, w in _bit_cases():
+        for l2 in (0.0, 0.1):
+            want_loss, want_g = _plain_loss_grad(x, y, w, l2)
+            loss, g = kernels.logreg_loss_grad(x, y, w, l2)
+            assert _bits(loss) == _bits(want_loss), (x.shape, w)
+            assert g.tobytes() == want_g.tobytes(), (x.shape, w)
+            assert _bits(kernels.logreg_loss(x, y, w, l2)) == _bits(want_loss)
+
+
+@_nonfinite_margins
+def test_logreg_kernels_leave_their_inputs_alone():
+    for x, y, w in _bit_cases():
+        before = [a.tobytes() for a in (x, y, w)]
+        for kernel in (kernels.logreg_loss, kernels.logreg_loss_grad):
+            kernel(x, y, w, 0.1)
+            assert [a.tobytes() for a in (x, y, w)] == before, kernel
