@@ -31,10 +31,8 @@ from .gen import (
     REJECTED,
     auto_search_eta0,
     exact_eta_hvp,
-    fd5_eta,
     fit_quadratic,
     gen_update,
-    lqa3_eta,
     probe_losses,
     smooth,
 )
@@ -43,14 +41,12 @@ from .harness import (
     DIVERGENCE_LOSS,
     ErrorScalingResult,
     ExperimentSpec,
-    GridSearchError,
     LR_GRID,
     RunResult,
     SpecError,
     build_problem,
     convergence_metrics,
     error_scaling_study,
-    grid_search_baseline,
     grid_search_rows,
     run_experiment,
     spec_from_dict,
@@ -81,17 +77,14 @@ __all__ = [
     "AdamWState", "Array", "BatchSelector", "BealeProblem", "CLAMP_FACTOR",
     "CONVERGENCE_TOL", "ClipToNorm", "DIVERGENCE_LOSS",
     "DimensionMismatchError", "ETA0_GRID", "ErrorScalingResult",
-    "ExperimentSpec", "FULL_DATA", "FullData", "GenController",
-    "GridSearchError", "Identity", "IndexSet", "LR_GRID",
-    "LogisticRegressionProblem", "Mask", "NonFiniteError",
-    "NonFiniteProbeLoss", "Objective", "QuadraticFit", "QuadraticProblem",
-    "REJECTED", "RosenbrockProblem", "RunResult", "SgdState", "SignSgd",
-    "SpecError", "StepRecord", "SyntheticNoise", "adamw_direction",
-    "apply_step", "as_param_vector", "auto_search_eta0",
-    "build_problem", "convergence_metrics",
-    "error_scaling_study", "exact_eta_hvp", "fd5_eta", "fit_quadratic",
-    "gen_update", "generate_dataset", "grid_search_baseline",
-    "grid_search_rows", "lqa3_eta", "post_process",
-    "probe_losses", "run_experiment",
+    "ExperimentSpec", "FULL_DATA", "FullData", "GenController", "Identity",
+    "IndexSet", "LR_GRID", "LogisticRegressionProblem", "Mask",
+    "NonFiniteError", "NonFiniteProbeLoss", "Objective", "QuadraticFit",
+    "QuadraticProblem", "REJECTED", "RosenbrockProblem", "RunResult",
+    "SgdState", "SignSgd", "SpecError", "StepRecord", "SyntheticNoise",
+    "adamw_direction", "apply_step", "as_param_vector", "auto_search_eta0",
+    "build_problem", "convergence_metrics", "error_scaling_study",
+    "exact_eta_hvp", "fit_quadratic", "gen_update", "generate_dataset",
+    "grid_search_rows", "post_process", "probe_losses", "run_experiment",
     "sgd_direction", "smooth", "spec_from_dict",
 ]

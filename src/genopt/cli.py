@@ -24,7 +24,6 @@ import yaml
 
 from .harness import (
     ExperimentSpec,
-    GridSearchError,
     RunResult,
     SpecError,
     build_problem,
@@ -263,9 +262,9 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
                                     batch_size=spec.batch_size)
             best = pick_best_row(rows)
             if best is None:
-                raise GridSearchError(
-                    f"all grid learning rates diverged for {spec.name!r}",
-                    rows)
+                _err("runtime.grid-all-diverged",
+                     f"all grid learning rates diverged for {spec.name!r}")
+                return 3
             write_grid_csv(os.path.join(out, f"{spec.name}.grid.csv"),
                            rows, best["eta"])
             print(f"{spec.name}: grid over {len(rows)} learning rates")
@@ -277,9 +276,6 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
     except SpecError as e:
         _err(e.code, e)
         return 2
-    except GridSearchError as e:
-        _err("runtime.grid-all-diverged", e)
-        return 3
     except OSError as e:
         _err("io.error", e)
         return 3

@@ -6,17 +6,14 @@ by a parabola. Sampling it at a few symmetric offsets and fitting
     y(eta) = curvature * eta^2 / 2 - slope * eta,    y = phi(eta) - phi(0)
 
 gives a closed-form minimizer eta* = slope / curvature. The controller in
-``gen_update`` runs that fit every ``phi`` steps, rejects fits with
-non-positive curvature, non-positive slope, or poor r2, and folds accepted
-candidates into the working learning rate with exponential smoothing.
+``gen_update`` estimates that ratio every ``phi`` steps, either from the
+probe fit or, with the ``hvp`` estimator, from the exact directional
+curvature (g . d) / (d . H d). Each estimator has its own guards; an
+accepted candidate is clamped to one decade around the working learning
+rate and folded in with exponential smoothing.
 
 Probe offsets use the descent parametrization throughout: the probe at
-eta = -h evaluates L(w + h * d). The closed forms ``lqa3_eta`` and
-``fd5_eta`` take their arguments in the opposite, ascent convention
-(l_plus = L(w + h * d)), matching how central-difference stencils are
-usually written. The two conventions are reconciled by one equivalence:
-fit_quadratic on [(-h, a), (0, b), (h, c)] and lqa3_eta(c, b, a, h) give
-the same step.
+eta = -h evaluates L(w + h * d).
 """
 
 from __future__ import annotations
@@ -184,39 +181,6 @@ def fit_quadratic(probes) -> QuadraticFit:
     return QuadraticFit(curvature=curvature, slope=slope, r2=r2)
 
 
-def lqa3_eta(l_minus: float, l_zero: float, l_plus: float,
-             eta_prev: float) -> Optional[float]:
-    """Closed-form parabola minimizer from a symmetric loss triple.
-
-    Arguments are in ascent convention: l_plus = L(w + eta_prev * d),
-    l_minus = L(w - eta_prev * d). Returns the descent step eta* or None
-    when the second difference vanishes (flat curvature). The sign of the
-    result is the caller's convexity check.
-    """
-    denom = math.fsum([l_plus, -2.0 * l_zero, l_minus])
-    if denom == 0.0:
-        return None
-    eta = 0.5 * eta_prev * (l_plus - l_minus) / denom
-    return eta if math.isfinite(eta) else None
-
-
-def fd5_eta(l_m2: float, l_m1: float, l_0: float, l_p1: float, l_p2: float,
-            eta_prev: float) -> Optional[float]:
-    """Fourth-order variant of ``lqa3_eta`` using five equispaced losses.
-
-    l_p1 = L(w + eta_prev * d), l_p2 = L(w + 2 * eta_prev * d), and so on.
-    Both derivative stencils are fourth-order accurate, trading two extra
-    forward evaluations for a much smaller truncation error.
-    """
-    d1 = math.fsum([-l_p2, 8.0 * l_p1, -8.0 * l_m1, l_m2]) / (12.0 * eta_prev)
-    d2 = math.fsum([-l_p2, 16.0 * l_p1, -30.0 * l_0, 16.0 * l_m1, -l_m2])
-    d2 /= 12.0 * eta_prev * eta_prev
-    if d2 == 0.0:
-        return None
-    eta = d1 / d2
-    return eta if math.isfinite(eta) else None
-
-
 def smooth(eta_prev: float, eta_candidate: float, gamma: float) -> float:
     """Exponential moving average: gamma parts old rate, (1 - gamma) new."""
     return gamma * eta_prev + (1.0 - gamma) * eta_candidate
@@ -227,12 +191,15 @@ class GenController:
     """Mutable state for the adaptive learning-rate loop.
 
     ``eta`` is the working learning rate, updated in place by
-    ``gen_update``. A fit is attempted every ``phi`` steps, counting calls
-    from 1, so the first attempt happens on call number phi. When
-    ``decay_enabled`` is set, accepted candidates are scaled by the linear
-    schedule factor (1 - step/horizon) before clamping and smoothing.
-    fit_attempts / fits_accepted / fits_rejected expose guard statistics
-    for diagnostics.
+    ``gen_update``. An estimate is attempted every ``phi`` steps, counting
+    calls from 1, so the first attempt happens on call number phi.
+    ``estimator`` picks how the step-size candidate is formed: ``"fit"``
+    fits a parabola to probe losses, ``"hvp"`` takes the exact directional
+    curvature from ``exact_eta_hvp``. When ``decay_enabled`` is set,
+    accepted candidates are scaled by the linear schedule factor
+    (1 - step/horizon) before clamping and smoothing.
+    fit_attempts / fits_accepted / fits_rejected count the estimates of
+    either estimator for diagnostics.
     """
 
     eta: float
@@ -242,6 +209,7 @@ class GenController:
     r2_threshold: float = 0.99
     horizon: Optional[int] = None
     decay_enabled: bool = False
+    estimator: str = "fit"
     step: int = 0
     fit_attempts: int = field(default=0, init=False)
     fits_accepted: int = field(default=0, init=False)
@@ -263,30 +231,64 @@ class GenController:
             raise ValueError("horizon must be >= 1 when set")
         if self.decay_enabled and self.horizon is None:
             raise ValueError("decay_enabled requires a horizon")
+        if self.estimator not in ("fit", "hvp"):
+            raise ValueError("estimator must be 'fit' or 'hvp'")
         if self.step < 0:
             raise ValueError("step must be >= 0")
 
 
+def _estimate(ctrl: GenController, obj: Objective, w: Array,
+              raw_grad: Optional[Array], direction: Array,
+              batch: BatchSelector, l_zero: float):
+    """One step-size estimate: (candidate, fit r2, passed its guards).
+
+    The fit's guards are curvature > 0, slope > 0, r2 > r2_threshold and
+    a finite candidate; a blown-up probe or degenerate probe pattern fails
+    them. The hvp estimate passes when it is positive and finite, and has
+    no r2.
+    """
+    if ctrl.estimator == "hvp":
+        candidate = exact_eta_hvp(obj, w, raw_grad, direction, batch=batch)
+        return candidate, None, (candidate is not None and candidate > 0.0
+                                 and math.isfinite(candidate))
+    try:
+        fit = fit_quadratic(probe_losses(obj, w, direction, ctrl.eta, batch,
+                                         ctrl.probe_points, l_zero=l_zero))
+    except NonFiniteProbeLoss:
+        return None, None, False
+    candidate = fit.eta_candidate if fit.curvature != 0.0 else None
+    passed = (fit.curvature > 0.0
+              and fit.slope > 0.0
+              and fit.r2 > ctrl.r2_threshold
+              and math.isfinite(candidate))
+    return candidate, fit.r2, passed
+
+
 def gen_update(ctrl: GenController, obj: Objective, w: Array,
                direction: Array, batch: BatchSelector = FULL_DATA,
-               l_zero: Optional[float] = None) -> Tuple[float, StepRecord]:
-    """Advance the controller one step, refitting eta when it is due.
+               l_zero: Optional[float] = None,
+               raw_grad: Optional[Array] = None) -> Tuple[float, StepRecord]:
+    """Advance the controller one step, re-estimating eta when it is due.
 
     Returns (new_eta, record). The step counter increments first, so with
-    phi = 4 the first fit happens on the fourth call and steps 1-3 run no
-    probes. Numerical trouble never propagates out of the fit: a blown-up
-    probe or degenerate probe pattern counts as a rejection and leaves eta
-    bit-identical.
+    phi = 4 the first estimate happens on the fourth call and steps 1-3 run
+    no probes. Numerical trouble never propagates out of the fit: a
+    blown-up probe, a degenerate probe pattern or any candidate that fails
+    its estimator's guards counts as a rejection and leaves eta
+    bit-identical. ``raw_grad`` is the gradient before the optimizer's
+    direction rule; the hvp estimator needs it.
 
-    The acceptance guards are curvature > 0, slope > 0, and
-    r2 > r2_threshold. An accepted candidate is decayed (when enabled),
-    clamped to [eta / CLAMP_FACTOR, eta * CLAMP_FACTOR], then smoothed in.
-    The raw candidate lands in the record whether or not it was accepted.
+    Both estimators share what follows: an accepted candidate is decayed
+    (when enabled), clamped to [eta / CLAMP_FACTOR, eta * CLAMP_FACTOR],
+    then smoothed in. The raw candidate lands in the record whether or not
+    it was accepted.
 
-    The record's loss is the current (pre-step) loss and its grad_norm the
-    direction norm; harness loops overwrite both with their own
-    conventions.
+    The record's loss is the current (pre-step) loss. Its grad_norm is nan:
+    the controller never needs the gradient norm, so the caller fills it
+    in.
     """
+    if ctrl.estimator == "hvp" and raw_grad is None:
+        raise ValueError("the hvp estimator needs raw_grad")
     ctrl.step += 1
     if l_zero is None:
         l_zero = float(obj.loss(np.asarray(w, dtype=np.float64), batch))
@@ -296,24 +298,8 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
 
     if ctrl.step % ctrl.phi == 0:
         ctrl.fit_attempts += 1
-        fit = None
-        try:
-            probes = probe_losses(obj, w, direction, ctrl.eta, batch,
-                                  ctrl.probe_points, l_zero=l_zero)
-            fit = fit_quadratic(probes)
-        except NonFiniteProbeLoss:
-            pass
-        if fit is not None:
-            fit_r2 = fit.r2
-            if fit.curvature != 0.0:
-                eta_candidate = fit.eta_candidate
-            accepted = (
-                fit.curvature > 0.0
-                and fit.slope > 0.0
-                and fit.r2 > ctrl.r2_threshold
-                and eta_candidate is not None
-                and math.isfinite(eta_candidate)
-            )
+        eta_candidate, fit_r2, accepted = _estimate(
+            ctrl, obj, w, raw_grad, direction, batch, l_zero)
         if accepted:
             ctrl.fits_accepted += 1
             candidate = eta_candidate
@@ -330,7 +316,7 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
         step=ctrl.step,
         loss=float(l_zero),
         eta=ctrl.eta,
-        grad_norm=norm(np.asarray(direction, dtype=np.float64)),
+        grad_norm=math.nan,
         eta_candidate=eta_candidate,
         fit_accepted=accepted,
         fit_r2=fit_r2,

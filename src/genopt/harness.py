@@ -33,11 +33,9 @@ from .core import (
 from .gen import (
     GenController,
     auto_search_eta0,
-    exact_eta_hvp,
     fit_quadratic,
     gen_update,
     probe_losses,
-    smooth,
 )
 from .optim import (
     AdamWState,
@@ -92,14 +90,6 @@ class SpecError(ValueError):
     def __reduce__(self):
         # a worker's error reaches the parent pickled; keep its code
         return type(self), (self.code, str(self))
-
-
-class GridSearchError(RuntimeError):
-    """Every learning rate on the tuning grid diverged."""
-
-    def __init__(self, message: str, rows=None):
-        super().__init__(message)
-        self.rows = rows or []
 
 
 @dataclass
@@ -499,10 +489,8 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
     ws = [w.copy()]
     records: List[StepRecord] = []
     status = "ok"
-    mode = "fixed" if gen_cfg is None else gen_cfg["estimator"]
     ctrl: Optional[GenController] = None
-    hvp_state: Optional[Dict[str, int]] = None
-    if mode == "fixed" and eta is None:
+    if gen_cfg is None and eta is None:
         raise SpecError("config.needs-eta-or-gen",
                         "experiment needs a fixed eta or gen settings")
     # on the full batch the post-step (loss, grad) is the next step's start
@@ -537,43 +525,23 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                 status = diverged(t, l0, norm(g))
                 break
 
-            if mode != "fixed" and eta is None:
+            if gen_cfg is not None and ctrl is None:
                 # first step: resolve the starting rate, then build state
                 if gen_cfg["eta0"] == "auto":
                     eta = auto_search_eta0(problem, w, d, batch, l_zero=l0)
                 else:
                     eta = float(gen_cfg["eta0"])
-                if mode == "fit":
-                    ctrl = GenController(
-                        eta=eta, gamma=gen_cfg["gamma"], phi=gen_cfg["phi"],
-                        probe_points=gen_cfg["probe_points"],
-                        r2_threshold=gen_cfg["r2_threshold"],
-                        horizon=iterations if gen_cfg["decay"] else None,
-                        decay_enabled=gen_cfg["decay"])
-                else:
-                    hvp_state = {"step": 0, "attempts": 0, "accepted": 0,
-                                 "rejected": 0}
+                ctrl = GenController(
+                    eta=eta, gamma=gen_cfg["gamma"], phi=gen_cfg["phi"],
+                    probe_points=gen_cfg["probe_points"],
+                    r2_threshold=gen_cfg["r2_threshold"],
+                    horizon=iterations if gen_cfg["decay"] else None,
+                    decay_enabled=gen_cfg["decay"],
+                    estimator=gen_cfg["estimator"])
 
-            if mode == "fit":
+            if ctrl is not None:
                 eta, gen_rec = gen_update(ctrl, problem, w, d, batch,
-                                          l_zero=l0)
-            elif mode == "hvp":
-                hvp_state["step"] += 1
-                candidate = None
-                took = False
-                if hvp_state["step"] % gen_cfg["phi"] == 0:
-                    hvp_state["attempts"] += 1
-                    candidate = exact_eta_hvp(problem, w, g, d, batch=batch)
-                    if (candidate is not None and candidate > 0
-                            and math.isfinite(candidate)):
-                        eta = smooth(eta, candidate, gen_cfg["gamma"])
-                        took = True
-                        hvp_state["accepted"] += 1
-                    else:
-                        hvp_state["rejected"] += 1
-                gen_rec = StepRecord(step=t, loss=l0, eta=eta,
-                                     grad_norm=0.0, eta_candidate=candidate,
-                                     fit_accepted=took, fit_r2=None)
+                                          l_zero=l0, raw_grad=g)
             else:
                 gen_rec = None
 
@@ -608,10 +576,6 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
         gen_stats = {"fit_attempts": ctrl.fit_attempts,
                      "fits_accepted": ctrl.fits_accepted,
                      "fits_rejected": ctrl.fits_rejected}
-    elif hvp_state is not None:
-        gen_stats = {"fit_attempts": hvp_state["attempts"],
-                     "fits_accepted": hvp_state["accepted"],
-                     "fits_rejected": hvp_state["rejected"]}
     final_loss = records[-1].loss if records else math.nan
     return RunResult(records=records, final_w=w, final_loss=final_loss,
                      wall_time=time.perf_counter() - t_begin, status=status,
@@ -672,27 +636,6 @@ def grid_search_rows(problem: Union[Objective, Dict], optimizer: Dict,
         rows.append({"eta": eta, "final_loss": result.final_loss,
                      "status": result.status})
     return rows
-
-
-def grid_search_baseline(problem: Union[Objective, Dict], optimizer: Dict,
-                         iterations: int, *, start_point=None, seed: int = 0,
-                         batch_size: Optional[int] = None
-                         ) -> Tuple[float, float]:
-    """Tune a constant learning rate over the 18-point grid.
-
-    Returns (best_eta, best_final_loss), ties broken toward the smaller
-    rate. Raises GridSearchError with the full table attached when every
-    rate diverges.
-    """
-    rows = grid_search_rows(problem, optimizer, iterations,
-                            start_point=start_point, seed=seed,
-                            batch_size=batch_size)
-    best = pick_best_row(rows)
-    if best is None:
-        lines = ", ".join(f"eta={r['eta']:g}:{r['status']}" for r in rows)
-        raise GridSearchError(
-            f"all {len(rows)} grid learning rates diverged ({lines})", rows)
-    return best["eta"], best["final_loss"]
 
 
 def pick_best_row(rows: List[Dict]) -> Optional[Dict]:

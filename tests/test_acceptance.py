@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from conftest import Concave1D, Cubic1D, random_spd_problem
+from reference import lqa3_eta
 from genopt.gen import (
     GenController,
     exact_eta_hvp,
     fit_quadratic,
     gen_update,
-    lqa3_eta,
     probe_losses,
 )
 from genopt.harness import (
     error_scaling_study,
-    grid_search_baseline,
+    grid_search_rows,
+    pick_best_row,
     run_experiment,
     spec_from_dict,
 )
@@ -192,8 +193,9 @@ def test_c05_adaptive_matches_tuned_baselines():
     pairings = []
     for problem in ({"kind": "rosenbrock"}, {"kind": "beale"}):
         for opt_kind in ("sgd", "adamw"):
-            tuned_eta, tuned_loss = grid_search_baseline(
-                dict(problem), {"kind": opt_kind}, 1000)
+            best = pick_best_row(grid_search_rows(
+                dict(problem), {"kind": opt_kind}, 1000))
+            tuned_eta, tuned_loss = best["eta"], best["final_loss"]
             adaptive_loss = _menu_best(problem, opt_kind, tuned_eta)
             pairings.append((f"{problem['kind']}/{opt_kind}",
                              adaptive_loss, tuned_loss))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import Concave1D, CountingObjective, Cubic1D, random_spd_problem
+from reference import fd5_eta, lqa3_eta
 from genopt.core import FULL_DATA, NonFiniteError, Objective
 from genopt.gen import (
     CLAMP_FACTOR,
@@ -17,10 +18,8 @@ from genopt.gen import (
     QuadraticFit,
     auto_search_eta0,
     exact_eta_hvp,
-    fd5_eta,
     fit_quadratic,
     gen_update,
-    lqa3_eta,
     probe_losses,
     smooth,
 )
@@ -270,6 +269,9 @@ def test_controller_validation():
         GenController(eta=0.1, horizon=0)
     with pytest.raises(ValueError):
         GenController(eta=0.1, decay_enabled=True)  # needs a horizon
+    GenController(eta=0.1, estimator="hvp")
+    with pytest.raises(ValueError):
+        GenController(eta=0.1, estimator="magic")
 
 
 def test_gen_update_lazy_schedule():
@@ -302,6 +304,7 @@ def test_gen_update_accepts_on_convex_slice():
     assert rec.fit_accepted
     assert eta == pytest.approx(expect, rel=1e-12)
     assert rec.fit_r2 == 1.0
+    assert math.isnan(rec.grad_norm)  # the caller's to fill in
 
 
 def test_gen_update_rejects_concave_and_keeps_eta_bits():
@@ -409,6 +412,17 @@ def test_gen_update_uses_supplied_center_loss():
     ctrl = GenController(eta=0.1, phi=1, gamma=0.0)
     gen_update(ctrl, counting, np.array([1.0]), np.array([1.0]), l_zero=0.5)
     assert counting.loss_calls == 2
+
+
+def test_gen_update_hvp_needs_the_raw_gradient():
+    p = _unit_quadratic()
+    w = np.array([1.0])
+    ctrl = GenController(eta=0.1, phi=1, estimator="hvp")
+    with pytest.raises(ValueError):
+        gen_update(ctrl, p, w, p.grad(w))
+    assert ctrl.step == 0
+    eta, rec = gen_update(ctrl, p, w, p.grad(w), raw_grad=p.grad(w))
+    assert rec.fit_accepted and rec.fit_r2 is None
 
 
 # ---------------------------------------------------------------------------

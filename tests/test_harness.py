@@ -9,18 +9,17 @@ import numpy as np
 import pytest
 
 from genopt import harness, kernels
+from genopt.core import norm
 from genopt.gen import ETA0_GRID
 from genopt.harness import (
     CONVERGENCE_TOL,
     DIVERGENCE_LOSS,
     LR_GRID,
     ExperimentSpec,
-    GridSearchError,
     SpecError,
     build_problem,
     convergence_metrics,
     error_scaling_study,
-    grid_search_baseline,
     grid_search_rows,
     pick_best_row,
     run_experiment,
@@ -312,18 +311,22 @@ def test_run_batch_size_too_large():
     assert _code(e) == "config.batch-size.too-large"
 
 
-def test_run_newton_hvp_one_step_on_quadratic():
-    # curvature-exact rate on the Newton direction solves a quadratic in
-    # one iteration
-    spec = spec_from_dict({
+def _newton_hvp_quadratic(iterations, **gen):
+    return spec_from_dict({
         "problem": {"kind": "quadratic",
                     "matrix_a": [[4.0, 1.0], [1.0, 3.0]],
                     "offset": [2.0, -1.0]},
         "optimizer": {"kind": "newton"},
-        "iterations": 3,
-        "gen": {"eta0": 0.1, "gamma": 0.0, "phi": 1, "estimator": "hvp"},
+        "iterations": iterations,
+        "gen": dict(gen, estimator="hvp"),
     })
-    result = run_experiment(spec)
+
+
+def test_run_newton_hvp_one_step_on_quadratic():
+    # curvature-exact rate on the Newton direction solves a quadratic in
+    # one iteration
+    result = run_experiment(_newton_hvp_quadratic(3, eta0=0.1, gamma=0.0,
+                                                  phi=1))
     iters, ratios = convergence_metrics(result, [2.0, -1.0])
     assert iters is not None and iters <= 1
     assert result.records[0].eta == pytest.approx(1.0, rel=1e-12)
@@ -341,6 +344,53 @@ def test_run_gen_stats_surface():
     assert result.gen_stats["fit_attempts"] == 2  # steps 8 and 16
     fixed = run_experiment(spec_from_dict(_minimal()))
     assert fixed.gen_stats is None
+
+
+def test_hvp_candidate_is_clamped_like_a_fit():
+    # the exact step on the Newton direction is 1, a hundred times eta0;
+    # the shared clamp lets one accepted estimate move eta one decade
+    result = run_experiment(_newton_hvp_quadratic(1, eta0=0.01, gamma=0.0,
+                                                  phi=1))
+    rec = result.records[0]
+    assert rec.fit_accepted
+    assert rec.eta_candidate == pytest.approx(1.0, rel=1e-12)
+    assert rec.eta == 0.1
+
+
+def test_hvp_counters_follow_the_phi_schedule():
+    result = run_experiment(_newton_hvp_quadratic(10, eta0=0.01, gamma=0.0,
+                                                  phi=3))
+    stats = result.gen_stats
+    assert stats["fit_attempts"] == 3  # steps 3, 6 and 9
+    assert stats["fits_accepted"] + stats["fits_rejected"] == 3
+    prev = 0.01
+    for rec in result.records:
+        if rec.step % 3:
+            assert rec.eta_candidate is None and not rec.fit_accepted
+        assert rec.fit_r2 is None
+        if rec.fit_accepted:
+            assert prev / 10.0 <= rec.eta <= prev * 10.0
+        else:
+            assert rec.eta == prev
+        prev = rec.eta
+
+
+@pytest.mark.parametrize("config", [
+    {"problem": {"kind": "rosenbrock"}, "optimizer": {"kind": "sgd"},
+     "eta": 0.001},
+    {"problem": {"kind": "rosenbrock"}, "optimizer": {"kind": "adamw"},
+     "gen": {"eta0": "auto", "phi": 2}},
+    {"problem": {"kind": "beale"}, "optimizer": {"kind": "newton"},
+     "start_point": [2.8, 0.45],
+     "gen": {"eta0": 0.1, "gamma": 0.0, "phi": 1, "estimator": "hvp"}},
+], ids=["fixed", "fit", "hvp"])
+def test_trajectory_grad_norm_is_the_step_gradient_norm(config):
+    spec = spec_from_dict(dict(config, iterations=12))
+    result = run_experiment(spec)
+    problem = build_problem(spec.problem)
+    assert result.status == "ok" and len(result.records) == 12
+    for rec, w in zip(result.records, result.ws):
+        assert rec.grad_norm == norm(problem.grad(w))
 
 
 @pytest.fixture
@@ -459,11 +509,11 @@ def test_lr_grid_shape():
 def test_grid_search_finds_exact_rate_on_identity():
     # on L = 0.5 ||w||^2 plain SGD with eta = 1 lands exactly on the
     # minimizer, so the grid winner must be 1
-    best_eta, best_loss = grid_search_baseline(
+    best = pick_best_row(grid_search_rows(
         {"kind": "quadratic", "matrix_a": [[1.0, 0.0], [0.0, 1.0]]},
-        {"kind": "sgd"}, iterations=10, start_point=[1.0, 0.0])
-    assert best_eta == 1.0
-    assert best_loss == 0.0
+        {"kind": "sgd"}, iterations=10, start_point=[1.0, 0.0]))
+    assert best["eta"] == 1.0
+    assert best["final_loss"] == 0.0
 
 
 def test_grid_search_rows_cover_grid_in_order():
@@ -479,10 +529,11 @@ def test_grid_search_rows_cover_grid_in_order():
 
 def test_grid_search_all_diverged():
     stiff = {"kind": "quadratic", "matrix_a": [[1e15]]}
-    with pytest.raises(GridSearchError) as e:
-        grid_search_baseline(stiff, {"kind": "sgd"}, iterations=50,
-                             start_point=[1.0])
-    assert len(e.value.rows) == 18
+    rows = grid_search_rows(stiff, {"kind": "sgd"}, iterations=50,
+                            start_point=[1.0])
+    assert len(rows) == 18
+    assert all(r["status"] == "diverged" for r in rows)
+    assert pick_best_row(rows) is None
 
 
 def test_grid_search_rejects_gen_style_optimizers():

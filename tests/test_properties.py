@@ -1,5 +1,6 @@
-"""Property tests: controller invariants under arbitrary probe data, and the
-step-loop check helpers against the numpy calls they replace."""
+"""Property tests: controller invariants under arbitrary probe data and
+curvature, and the step-loop check helpers against the numpy calls they
+replace."""
 
 import math
 import struct
@@ -89,15 +90,37 @@ class _Parabola(Objective):
         return 0.5 * self.curvature * r * r
 
 
-# (objective, l_zero, direction): arbitrary probe losses with any l_zero,
-# or a descent direction on a convex parabola, whose exact fits reach the
-# accept branch and the clamp
+class _Curvature1D(Objective):
+    """Flat loss with an arbitrary exact Hessian, for the hvp estimator."""
+
+    dim = 1
+    has_exact_hessian = True
+
+    def __init__(self, curvature):
+        self.curvature = curvature
+
+    def loss(self, w, batch=None):
+        return 0.0
+
+    def hessian(self, w, batch=None):
+        return np.array([[self.curvature]])
+
+
+# (estimator, objective, l_zero, raw gradient, direction): arbitrary probe
+# losses with any l_zero, or a descent direction on a convex parabola,
+# whose exact fits reach the accept branch and the clamp; for the hvp
+# estimator any curvature, gradient and direction
 moderate = st.floats(min_value=1e-2, max_value=1e2)
 scripted = st.tuples(
+    st.just("fit"),
     st.lists(any_float, min_size=4, max_size=4).map(_ScriptedLosses),
-    any_float, st.floats(min_value=-1e300, max_value=1e300))
-parabolas = st.builds(lambda a, m, d: (_Parabola(a, m), None, -d),
-                      moderate, moderate, moderate)
+    any_float, st.none(), st.floats(min_value=-1e300, max_value=1e300))
+parabolas = st.builds(
+    lambda a, m, d: ("fit", _Parabola(a, m), None, None, -d),
+    moderate, moderate, moderate)
+curvatures = st.tuples(
+    st.just("hvp"), st.one_of(any_float, moderate).map(_Curvature1D),
+    st.one_of(st.none(), any_float), any_float, any_float)
 
 
 @PROPS
@@ -108,16 +131,19 @@ parabolas = st.builds(lambda a, m, d: (_Parabola(a, m), None, -d),
     points=st.sampled_from((3, 5)),
     r2_threshold=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     decay=st.booleans(),
-    case=st.one_of(scripted, parabolas),
+    case=st.one_of(scripted, parabolas, curvatures),
 )
+@example(eta=0.01, gamma=0.0, points=3, r2_threshold=0.99, decay=False,
+         case=("hvp", _Curvature1D(1.0), None, 1.0, 1.0))
 def test_gen_update_keeps_eta_positive_finite_and_clamped(
         eta, gamma, points, r2_threshold, decay, case):
-    obj, l_zero, d = case
+    estimator, obj, l_zero, g, d = case
     ctrl = GenController(eta=eta, gamma=gamma, phi=1, probe_points=points,
                          r2_threshold=r2_threshold, horizon=3,
-                         decay_enabled=decay)
+                         decay_enabled=decay, estimator=estimator)
+    raw_grad = None if g is None else np.array([g])
     new_eta, rec = gen_update(ctrl, obj, np.array([0.0]), np.array([d]),
-                              l_zero=l_zero)
+                              l_zero=l_zero, raw_grad=raw_grad)
     assert new_eta == ctrl.eta
     assert new_eta > 0 and math.isfinite(new_eta)
     if rec.fit_accepted:
