@@ -195,13 +195,6 @@ def write_compare_summary_csv(path: str, entries: List[Dict]) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _apply_seed_override(specs: List[ExperimentSpec],
-                         seed: Optional[int]) -> List[ExperimentSpec]:
-    if seed is None:
-        return specs
-    return [replace(s, seed=seed) for s in specs]
-
-
 def _run_specs(specs: List[ExperimentSpec], jobs: int) -> List[RunResult]:
     # the pool forks every worker up front, so never ask for idle ones
     workers = min(jobs, len(specs), os.cpu_count() or 1)
@@ -212,14 +205,34 @@ def _run_specs(specs: List[ExperimentSpec], jobs: int) -> List[RunResult]:
         return list(pool.map(run_experiment, specs))
 
 
+def _command(config_path: str, output_dir: Optional[str],
+             seed: Optional[int], body, vet=None) -> int:
+    """Load the config, override the seeds, let ``vet(specs)`` reject the
+    experiments before the output directory exists, create it and return
+    ``body(specs, out)``. A config error exits 2, an I/O error 3.
+    """
+    try:
+        config = load_config(config_path)
+        specs = config.experiments
+        if seed is not None:
+            specs = [replace(s, seed=seed) for s in specs]
+        if vet is not None:
+            vet(specs)
+        out = output_dir or config.output_dir
+        os.makedirs(out, exist_ok=True)
+        return body(specs, out)
+    except SpecError as e:
+        _err(e.code, e)
+        return 2
+    except OSError as e:
+        _err("io.error", e)
+        return 3
+
+
 def cmd_run(config_path: str, output_dir: Optional[str] = None,
             jobs: int = 1, seed: Optional[int] = None) -> int:
     """Run every experiment; write per-run trajectories plus a summary."""
-    try:
-        config = load_config(config_path)
-        specs = _apply_seed_override(config.experiments, seed)
-        out = output_dir or config.output_dir
-        os.makedirs(out, exist_ok=True)
+    def body(specs, out):
         results = _run_specs(specs, jobs)
         for spec, res in zip(specs, results):
             write_trajectory_csv(os.path.join(out, f"{spec.name}.trajectory.csv"),
@@ -230,12 +243,7 @@ def cmd_run(config_path: str, output_dir: Optional[str] = None,
         write_summary_csv(os.path.join(out, "summary.csv"), specs, results)
         print(f"wrote {len(specs)} trajectories + summary.csv to {out}")
         return 0
-    except SpecError as e:
-        _err(e.code, e)
-        return 2
-    except OSError as e:
-        _err("io.error", e)
-        return 3
+    return _command(config_path, output_dir, seed, body)
 
 
 def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
@@ -245,11 +253,8 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
         _err("cli.jobs", f"grid-search runs serially; --jobs must be 1, "
                          f"got {jobs}")
         return 2
-    try:
-        config = load_config(config_path)
-        specs = _apply_seed_override(config.experiments, seed)
-        out = output_dir or config.output_dir
-        os.makedirs(out, exist_ok=True)
+
+    def body(specs, out):
         for spec in specs:
             if spec.gen is not None:
                 raise SpecError("config.grid.gen-not-allowed",
@@ -273,19 +278,23 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
                 print(f"  eta={row['eta']:<8g} final_loss="
                       f"{row['final_loss']:.6e} [{row['status']}]{mark}")
         return 0
-    except SpecError as e:
-        _err(e.code, e)
-        return 2
-    except OSError as e:
-        _err("io.error", e)
-        return 3
+    return _command(config_path, output_dir, seed, body)
 
 
-def _compare_pairing(specs: List[ExperimentSpec]) -> None:
+def _vet_compare(specs: List[ExperimentSpec]) -> None:
+    iterations = specs[0].iterations
     variants: Dict[str, set] = {}
     for spec in specs:
-        kind = spec.optimizer["kind"]
-        variants.setdefault(kind, set()).add(
+        if spec.log_every != 1:
+            raise SpecError("config.compare.log-every",
+                            f"experiment {spec.name!r} must use "
+                            f"log_every 1 for aligned comparison")
+        if spec.iterations != iterations:
+            raise SpecError("config.compare.iterations",
+                            f"experiment {spec.name!r} runs "
+                            f"{spec.iterations} iterations; all "
+                            f"experiments must match ({iterations})")
+        variants.setdefault(spec.optimizer["kind"], set()).add(
             "gen" if spec.gen is not None else "base")
     for kind, have in sorted(variants.items()):
         missing = {"base", "gen"} - have
@@ -298,30 +307,18 @@ def _compare_pairing(specs: List[ExperimentSpec]) -> None:
 def cmd_compare(config_path: str, output_dir: Optional[str] = None,
                 jobs: int = 1, seed: Optional[int] = None) -> int:
     """Run base/adaptive pairs and emit an aligned loss-vs-iteration table."""
-    try:
-        config = load_config(config_path)
-        specs = _apply_seed_override(config.experiments, seed)
-        iterations = specs[0].iterations
-        for spec in specs:
-            if spec.log_every != 1:
-                raise SpecError("config.compare.log-every",
-                                f"experiment {spec.name!r} must use "
-                                f"log_every 1 for aligned comparison")
-            if spec.iterations != iterations:
-                raise SpecError("config.compare.iterations",
-                                f"experiment {spec.name!r} runs "
-                                f"{spec.iterations} iterations; all "
-                                f"experiments must match ({iterations})")
-        _compare_pairing(specs)
-        out = output_dir or config.output_dir
-        os.makedirs(out, exist_ok=True)
+    def body(specs, out):
         results = _run_specs(specs, jobs)
         names = [s.name for s in specs]
         write_compare_csv(os.path.join(out, "compare.csv"), names,
-                          iterations, results)
+                          specs[0].iterations, results)
         entries = []
         for spec, res in zip(specs, results):
-            optimum = build_problem(spec.problem).known_minimizer
+            # logreg has no closed-form minimizer; building its dataset
+            # would only confirm that
+            optimum = None
+            if spec.problem["kind"] != "logreg":
+                optimum = build_problem(spec.problem).known_minimizer
             iters_to_tol = None
             if optimum is not None:
                 iters_to_tol, _ = convergence_metrics(res, optimum)
@@ -339,12 +336,7 @@ def cmd_compare(config_path: str, output_dir: Optional[str] = None,
                                   entries)
         print(f"wrote compare.csv + compare_summary.csv to {out}")
         return 0
-    except SpecError as e:
-        _err(e.code, e)
-        return 2
-    except OSError as e:
-        _err("io.error", e)
-        return 3
+    return _command(config_path, output_dir, seed, body, vet=_vet_compare)
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .core import (
     FULL_DATA,
     NonFiniteError,
     Objective,
-    StepRecord,
     norm,
 )
 from .optim import apply_step
@@ -237,91 +236,89 @@ class GenController:
             raise ValueError("step must be >= 0")
 
 
+class Estimate(NamedTuple):
+    """One step's estimate, in ``StepRecord`` field order.
+
+    ``eta_candidate`` is the raw candidate whenever the estimator produced
+    one, ``fit_accepted`` whether it passed the estimator's guards and
+    moved eta, ``fit_r2`` the fit's r2 (the hvp estimator has none).
+    """
+
+    eta_candidate: Optional[float] = None
+    fit_accepted: bool = False
+    fit_r2: Optional[float] = None
+
+
+# what a step without an estimate (off schedule, or a blown-up probe) reports
+NO_ESTIMATE = Estimate()
+
+
 def _estimate(ctrl: GenController, obj: Objective, w: Array,
               raw_grad: Optional[Array], direction: Array,
-              batch: BatchSelector, l_zero: float):
-    """One step-size estimate: (candidate, fit r2, passed its guards).
+              batch: BatchSelector, l_zero: Optional[float]) -> Estimate:
+    """One step-size estimate, judged by its estimator's guards.
 
     The fit's guards are curvature > 0, slope > 0, r2 > r2_threshold and
     a finite candidate; a blown-up probe or degenerate probe pattern fails
-    them. The hvp estimate passes when it is positive and finite, and has
-    no r2.
+    them. The hvp estimate passes when it is positive and finite.
     """
     if ctrl.estimator == "hvp":
         candidate = exact_eta_hvp(obj, w, raw_grad, direction, batch=batch)
-        return candidate, None, (candidate is not None and candidate > 0.0
-                                 and math.isfinite(candidate))
+        return Estimate(candidate, (candidate is not None and candidate > 0.0
+                                    and math.isfinite(candidate)))
     try:
         fit = fit_quadratic(probe_losses(obj, w, direction, ctrl.eta, batch,
                                          ctrl.probe_points, l_zero=l_zero))
     except NonFiniteProbeLoss:
-        return None, None, False
+        return NO_ESTIMATE
     candidate = fit.eta_candidate if fit.curvature != 0.0 else None
     passed = (fit.curvature > 0.0
               and fit.slope > 0.0
               and fit.r2 > ctrl.r2_threshold
               and math.isfinite(candidate))
-    return candidate, fit.r2, passed
+    return Estimate(candidate, passed, fit.r2)
 
 
 def gen_update(ctrl: GenController, obj: Objective, w: Array,
                direction: Array, batch: BatchSelector = FULL_DATA,
                l_zero: Optional[float] = None,
-               raw_grad: Optional[Array] = None) -> Tuple[float, StepRecord]:
+               raw_grad: Optional[Array] = None) -> Tuple[float, Estimate]:
     """Advance the controller one step, re-estimating eta when it is due.
 
-    Returns (new_eta, record). The step counter increments first, so with
-    phi = 4 the first estimate happens on the fourth call and steps 1-3 run
-    no probes. Numerical trouble never propagates out of the fit: a
-    blown-up probe, a degenerate probe pattern or any candidate that fails
-    its estimator's guards counts as a rejection and leaves eta
-    bit-identical. ``raw_grad`` is the gradient before the optimizer's
-    direction rule; the hvp estimator needs it.
+    Returns (new_eta, estimate). The step counter increments first, so
+    with phi = 4 the first estimate happens on the fourth call; steps 1-3
+    return ``NO_ESTIMATE`` and evaluate nothing. ``l_zero`` is the current
+    loss when the caller has it; the fit evaluates it otherwise.
+    Numerical trouble never propagates out of the fit: a blown-up probe, a
+    degenerate probe pattern or any candidate that fails its estimator's
+    guards counts as a rejection and leaves eta bit-identical.
+    ``raw_grad`` is the gradient before the optimizer's direction rule;
+    the hvp estimator needs it.
 
     Both estimators share what follows: an accepted candidate is decayed
     (when enabled), clamped to [eta / CLAMP_FACTOR, eta * CLAMP_FACTOR],
-    then smoothed in. The raw candidate lands in the record whether or not
-    it was accepted.
-
-    The record's loss is the current (pre-step) loss. Its grad_norm is nan:
-    the controller never needs the gradient norm, so the caller fills it
-    in.
+    then smoothed in. The raw candidate lands in the estimate whether or
+    not it was accepted.
     """
     if ctrl.estimator == "hvp" and raw_grad is None:
         raise ValueError("the hvp estimator needs raw_grad")
     ctrl.step += 1
-    if l_zero is None:
-        l_zero = float(obj.loss(np.asarray(w, dtype=np.float64), batch))
-    eta_candidate = None
-    fit_r2 = None
-    accepted = False
-
-    if ctrl.step % ctrl.phi == 0:
-        ctrl.fit_attempts += 1
-        eta_candidate, fit_r2, accepted = _estimate(
-            ctrl, obj, w, raw_grad, direction, batch, l_zero)
-        if accepted:
-            ctrl.fits_accepted += 1
-            candidate = eta_candidate
-            if ctrl.decay_enabled:
-                candidate *= max(0.0, 1.0 - ctrl.step / ctrl.horizon)
-            lo = ctrl.eta / CLAMP_FACTOR
-            hi = ctrl.eta * CLAMP_FACTOR
-            candidate = min(max(candidate, lo), hi)
-            ctrl.eta = smooth(ctrl.eta, candidate, ctrl.gamma)
-        else:
-            ctrl.fits_rejected += 1
-
-    record = StepRecord(
-        step=ctrl.step,
-        loss=float(l_zero),
-        eta=ctrl.eta,
-        grad_norm=math.nan,
-        eta_candidate=eta_candidate,
-        fit_accepted=accepted,
-        fit_r2=fit_r2,
-    )
-    return ctrl.eta, record
+    if ctrl.step % ctrl.phi:
+        return ctrl.eta, NO_ESTIMATE
+    ctrl.fit_attempts += 1
+    estimate = _estimate(ctrl, obj, w, raw_grad, direction, batch, l_zero)
+    if estimate.fit_accepted:
+        ctrl.fits_accepted += 1
+        candidate = estimate.eta_candidate
+        if ctrl.decay_enabled:
+            candidate *= max(0.0, 1.0 - ctrl.step / ctrl.horizon)
+        lo = ctrl.eta / CLAMP_FACTOR
+        hi = ctrl.eta * CLAMP_FACTOR
+        candidate = min(max(candidate, lo), hi)
+        ctrl.eta = smooth(ctrl.eta, candidate, ctrl.gamma)
+    else:
+        ctrl.fits_rejected += 1
+    return ctrl.eta, estimate
 
 
 def exact_eta_hvp(obj: Objective, w: Array, raw_grad: Array, direction: Array,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     norm,
 )
 from .gen import (
+    NO_ESTIMATE,
     GenController,
     auto_search_eta0,
     fit_quadratic,
@@ -169,6 +170,13 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite_num(x) -> bool:
+    try:
+        return _is_num(x) and math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -206,16 +214,21 @@ def _validate_problem(data: Dict, where: str) -> Dict:
         a = data["matrix_a"]
         if (not isinstance(a, list) or not a
                 or any(not isinstance(row, list) or len(row) != len(a)
-                       or any(not _is_num(v) for v in row) for row in a)):
+                       or any(not _is_finite_num(v) for v in row)
+                       for row in a)):
             raise SpecError("config.problem.matrix",
                             f"matrix_a at {where} must be a square matrix "
-                            f"of numbers")
+                            f"of finite numbers")
+        try:
+            QuadraticProblem(a)
+        except ValueError as e:
+            raise SpecError("config.problem.matrix", f"{e} at {where}") from None
         off = data.get("offset")
         if off is not None and (not isinstance(off, list) or len(off) != len(a)
-                                or any(not _is_num(v) for v in off)):
+                                or any(not _is_finite_num(v) for v in off)):
             raise SpecError("config.problem.offset",
                             f"offset at {where} must be a list of "
-                            f"{len(a)} numbers")
+                            f"{len(a)} finite numbers")
     else:  # logreg
         _check_keys(data, {"kind", "seed", "n", "d", "l2_penalty"},
                     {"kind", "seed", "n", "d"}, where)
@@ -235,7 +248,16 @@ def _validate_problem(data: Dict, where: str) -> Dict:
     return dict(data)
 
 
-def _validate_post_processor(data: Dict, where: str) -> Dict:
+def _problem_dim(problem: Dict) -> int:
+    # the parameter dimension of a validated problem mapping
+    if problem["kind"] == "quadratic":
+        return len(problem["matrix_a"])
+    if problem["kind"] == "logreg":
+        return problem["d"]
+    return 2
+
+
+def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
     _check_keys(data, {"kind", "max_norm", "mask"}, {"kind"}, where)
     kind = data.get("kind")
     if kind not in ("identity", "sign", "clip", "mask"):
@@ -249,9 +271,11 @@ def _validate_post_processor(data: Dict, where: str) -> Dict:
     elif kind == "mask":
         _check_keys(data, {"kind", "mask"}, {"kind", "mask"}, where)
         m = data["mask"]
-        if not isinstance(m, list) or any(v not in (0, 1) for v in m):
+        if (not isinstance(m, list) or len(m) != dim
+                or any(v not in (0, 1) for v in m)):
             raise SpecError("config.post.mask",
-                            f"mask at {where} must be a list of 0/1 entries")
+                            f"mask at {where} must be a list of {dim} 0/1 "
+                            f"entries")
     else:
         extra = set(data) - {"kind"}
         if extra:
@@ -260,7 +284,7 @@ def _validate_post_processor(data: Dict, where: str) -> Dict:
     return dict(data)
 
 
-def _validate_optimizer(data: Dict, where: str) -> Dict:
+def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
     _check_keys(data, {"kind", "momentum", "weight_decay", "beta1", "beta2",
                        "epsilon", "post_process"}, {"kind"}, where)
     kind = data["kind"]
@@ -297,16 +321,18 @@ def _validate_optimizer(data: Dict, where: str) -> Dict:
                             f"epsilon at {where} must be > 0")
     if "post_process" in data:
         _validate_post_processor(data["post_process"],
-                                 f"{where}.post_process")
+                                 f"{where}.post_process", dim)
     return dict(data)
 
 
 def _validate_gen(data: Dict, where: str) -> Dict:
     _check_keys(data, set(_GEN_DEFAULTS), set(), where)
     cfg = dict(_GEN_DEFAULTS, **data)
-    if cfg["eta0"] != "auto" and (not _is_num(cfg["eta0"]) or cfg["eta0"] <= 0):
+    if cfg["eta0"] != "auto" and (not _is_finite_num(cfg["eta0"])
+                                  or cfg["eta0"] <= 0):
         raise SpecError("config.gen.eta0",
-                        f"eta0 at {where} must be a positive number or 'auto'")
+                        f"eta0 at {where} must be a positive finite number "
+                        f"or 'auto'")
     if not _is_num(cfg["gamma"]) or not 0.0 <= cfg["gamma"] < 1.0:
         raise SpecError("config.gen.gamma",
                         f"gamma at {where} must be in [0, 1)")
@@ -350,7 +376,9 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
                         f"name at {where} must use only letters, digits, "
                         f"'.', '_', '-'")
     problem = _validate_problem(data["problem"], f"{where}.problem")
-    optimizer = _validate_optimizer(data["optimizer"], f"{where}.optimizer")
+    dim = _problem_dim(problem)
+    optimizer = _validate_optimizer(data["optimizer"], f"{where}.optimizer",
+                                    dim)
     if not _is_int(data["iterations"]) or data["iterations"] < 1:
         raise SpecError("config.iterations",
                         f"iterations at {where} must be an integer >= 1")
@@ -363,8 +391,7 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
         raise SpecError("config.log-every",
                         f"log_every at {where} must be an integer >= 1")
     eta = data.get("eta")
-    if eta is not None and (not _is_num(eta) or eta <= 0
-                            or not math.isfinite(eta)):
+    if eta is not None and (not _is_finite_num(eta) or eta <= 0):
         raise SpecError("config.eta",
                         f"eta at {where} must be a positive finite number")
     gen = data.get("gen")
@@ -375,10 +402,11 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
                         f"{where} sets both a fixed eta and gen settings; "
                         f"pick one")
     start = data.get("start_point")
-    if start is not None and (not isinstance(start, list) or not start
-                              or any(not _is_num(v) for v in start)):
+    if start is not None and (not isinstance(start, list) or len(start) != dim
+                              or any(not _is_finite_num(v) for v in start)):
         raise SpecError("config.start-point",
-                        f"start_point at {where} must be a list of numbers")
+                        f"start_point at {where} must be a list of {dim} "
+                        f"finite numbers")
     batch_size = data.get("batch_size")
     if batch_size is not None:
         if not _is_int(batch_size) or batch_size < 1:
@@ -476,6 +504,10 @@ def _step_batch(seed: int, step: int, batch_size: Optional[int]) -> BatchSelecto
 # ---------------------------------------------------------------------------
 # core loop
 
+def _in_bounds(loss: float) -> bool:
+    return math.isfinite(loss) and loss <= DIVERGENCE_LOSS
+
+
 def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
              eta: Optional[float] = None, gen_cfg: Optional[Dict] = None,
              start_point=None, seed: int = 0, log_every: int = 1,
@@ -489,86 +521,66 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
     ws = [w.copy()]
     records: List[StepRecord] = []
     status = "ok"
+    # an adaptive run has no rate until its first step resolves eta0
+    eta = math.nan if eta is None else float(eta)
     ctrl: Optional[GenController] = None
-    if gen_cfg is None and eta is None:
-        raise SpecError("config.needs-eta-or-gen",
-                        "experiment needs a fixed eta or gen settings")
-    # on the full batch the post-step (loss, grad) is the next step's start
-    constant_batch = batch_size is None
     carried: Optional[Tuple[float, Array]] = None
-
-    def diverged(t: int, l0: float, grad_norm: float) -> str:
-        # record the step whose loss, gradient or direction blew up
-        records.append(StepRecord(
-            step=t, loss=l0, eta=float(eta) if eta is not None else math.nan,
-            grad_norm=grad_norm))
-        return "diverged"
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
         for t in range(1, iterations + 1):
+            # a step that blows up in its loss, gradient, direction, step or
+            # post-step loss halts the run and records the values it reached
             batch = _step_batch(seed, t, batch_size)
             if carried is not None:
-                l0, g = carried
+                loss, g = carried
             else:
-                l0, g = problem.loss_grad(w, batch)
-            l0 = float(l0)
-            if not math.isfinite(l0) or l0 > DIVERGENCE_LOSS:
-                status = diverged(t, l0, math.nan)
-                break
+                loss, g = problem.loss_grad(w, batch)
+            loss = float(loss)
+            grad_norm = math.nan
+            estimate = NO_ESTIMATE
             g = np.asarray(g, dtype=np.float64)
-            if not all_finite(g):
-                status = diverged(t, l0, math.nan)
-                break
-            d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
-            if not all_finite(d):
-                status = diverged(t, l0, norm(g))
-                break
-
-            if gen_cfg is not None and ctrl is None:
-                # first step: resolve the starting rate, then build state
-                if gen_cfg["eta0"] == "auto":
-                    eta = auto_search_eta0(problem, w, d, batch, l_zero=l0)
+            ok = _in_bounds(loss) and all_finite(g)
+            if ok:
+                grad_norm = norm(g)
+                d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
+                ok = all_finite(d)
+            if ok:
+                if gen_cfg is not None and ctrl is None:
+                    # first step: resolve the starting rate, then build state
+                    if gen_cfg["eta0"] == "auto":
+                        eta = auto_search_eta0(problem, w, d, batch,
+                                               l_zero=loss)
+                    else:
+                        eta = float(gen_cfg["eta0"])
+                    ctrl = GenController(
+                        eta=eta, gamma=gen_cfg["gamma"], phi=gen_cfg["phi"],
+                        probe_points=gen_cfg["probe_points"],
+                        r2_threshold=gen_cfg["r2_threshold"],
+                        horizon=iterations if gen_cfg["decay"] else None,
+                        decay_enabled=gen_cfg["decay"],
+                        estimator=gen_cfg["estimator"])
+                if ctrl is not None:
+                    eta, estimate = gen_update(ctrl, problem, w, d, batch,
+                                               l_zero=loss, raw_grad=g)
+                try:
+                    w = apply_step(w, eta, d)
+                except NonFiniteError:
+                    ok = False
+            if ok:
+                ws.append(w.copy())
+                # on the full batch the post-step (loss, grad) is the next
+                # step's start
+                if batch_size is None and t < iterations:
+                    carried = problem.loss_grad(w, batch)
+                    loss = float(carried[0])
                 else:
-                    eta = float(gen_cfg["eta0"])
-                ctrl = GenController(
-                    eta=eta, gamma=gen_cfg["gamma"], phi=gen_cfg["phi"],
-                    probe_points=gen_cfg["probe_points"],
-                    r2_threshold=gen_cfg["r2_threshold"],
-                    horizon=iterations if gen_cfg["decay"] else None,
-                    decay_enabled=gen_cfg["decay"],
-                    estimator=gen_cfg["estimator"])
-
-            if ctrl is not None:
-                eta, gen_rec = gen_update(ctrl, problem, w, d, batch,
-                                          l_zero=l0, raw_grad=g)
-            else:
-                gen_rec = None
-
-            grad_norm = norm(g)
-            try:
-                w = apply_step(w, eta, d)
-            except NonFiniteError:
+                    loss = float(problem.loss(w, batch))
+                ok = _in_bounds(loss)
+            if not ok or t % log_every == 0 or t == iterations:
+                records.append(StepRecord(t, loss, eta, grad_norm, *estimate))
+            if not ok:
                 status = "diverged"
-                base = gen_rec if gen_rec is not None else StepRecord(
-                    step=t, loss=l0, eta=float(eta), grad_norm=grad_norm)
-                records.append(replace(base, loss=l0, grad_norm=grad_norm))
-                break
-            ws.append(w.copy())
-            if constant_batch and t < iterations:
-                carried = problem.loss_grad(w, batch)
-                l_post = float(carried[0])
-            else:
-                l_post = float(problem.loss(w, batch))
-            blew_up = not math.isfinite(l_post) or l_post > DIVERGENCE_LOSS
-            if blew_up:
-                status = "diverged"
-            if blew_up or t % log_every == 0 or t == iterations:
-                base = gen_rec if gen_rec is not None else StepRecord(
-                    step=t, loss=0.0, eta=float(eta), grad_norm=0.0)
-                records.append(replace(base, loss=l_post,
-                                       grad_norm=grad_norm))
-            if blew_up:
                 break
 
     gen_stats = None
@@ -593,17 +605,14 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         raise SpecError("config.needs-eta-or-gen",
                         f"experiment {spec.name!r} needs either eta or gen")
     problem = build_problem(spec.problem)
-    if spec.start_point is not None:
-        start = as_param_vector(spec.start_point, dim=problem.dim)
-    else:
-        start = None
     if spec.batch_size is not None and spec.batch_size > problem.n_samples:
         raise SpecError("config.batch-size.too-large",
                         f"batch_size {spec.batch_size} exceeds dataset size "
                         f"{problem.n_samples}")
     direction_fn = build_direction_fn(problem, spec.optimizer)
     return _execute(problem, direction_fn, iterations=spec.iterations,
-                    eta=spec.eta, gen_cfg=spec.gen, start_point=start,
+                    eta=spec.eta, gen_cfg=spec.gen,
+                    start_point=spec.start_point,
                     seed=spec.seed, log_every=spec.log_every,
                     batch_size=spec.batch_size)
 
@@ -622,7 +631,7 @@ def grid_search_rows(problem: Union[Objective, Dict], optimizer: Dict,
                      batch_size: Optional[int] = None) -> List[Dict]:
     """Run every grid learning rate once; one row per rate, grid order."""
     obj = _as_problem(problem)
-    optimizer = _validate_optimizer(dict(optimizer), "optimizer")
+    optimizer = _validate_optimizer(dict(optimizer), "optimizer", obj.dim)
     if optimizer.get("kind") not in ("sgd", "adamw"):
         raise SpecError("config.grid.optimizer",
                         "grid search tunes fixed-eta baselines; use an sgd "

@@ -209,6 +209,39 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def test_compare_parent_builds_no_logreg_dataset(tmp_path, monkeypatch,
+                                                 pool_sizes):
+    import genopt.cli
+
+    built = []
+    inner = harness.generate_dataset
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return inner(*args, **kwargs)
+
+    run_specs = genopt.cli._run_specs
+
+    def in_workers(specs, jobs):
+        results = run_specs(specs, jobs)
+        # what the workers built stays in the workers
+        harness._logreg_dataset.cache_clear()
+        built.clear()
+        return results
+
+    monkeypatch.setattr(harness, "generate_dataset", counting)
+    monkeypatch.setattr(genopt.cli, "_run_specs", in_workers)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    common = {"problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
+              "optimizer": {"kind": "sgd"}, "iterations": 5}
+    exp = [dict(common, name="base", eta=0.05),
+           dict(common, name="gen", gen={"eta0": 0.05})]
+    cfg = _write_config(tmp_path, exp)
+    assert main(["compare", "--config", cfg, "--jobs", "2"]) == 0
+    assert pool_sizes == [2]
+    assert built == []
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_rejects_jobs_below_one(tmp_path, capsys, pool_sizes, jobs):
     cfg = _write_config(tmp_path, _basic_experiments())
@@ -362,6 +395,22 @@ def test_grid_search_rejects_gen_experiments(tmp_path, capsys):
     cfg = _write_config(tmp_path, _basic_experiments())
     assert main(["grid-search", "--config", cfg]) == 2
     assert _stderr_code(capsys) == "config.grid.gen-not-allowed"
+
+
+@pytest.mark.parametrize("breakage, code", [
+    ({"start_point": [1.0, 0.0, 0.0]}, "config.start-point"),
+    ({"optimizer": {"kind": "sgd",
+                    "post_process": {"kind": "mask", "mask": [1]}}},
+     "config.post.mask"),
+])
+def test_grid_search_rejects_a_wrong_dimension(tmp_path, capsys, breakage,
+                                               code):
+    exp = dict({"name": "tune", "problem": dict(QUAD),
+                "optimizer": {"kind": "sgd"}, "iterations": 10}, **breakage)
+    cfg = _write_config(tmp_path, [exp])
+    assert main(["grid-search", "--config", cfg]) == 2
+    assert _stderr_code(capsys) == code
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_search_rejects_jobs_above_one(tmp_path, capsys):

@@ -1,8 +1,6 @@
 """Probe evaluation, quadratic curve fitting, guard logic, and the
 adaptive learning-rate controller."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -288,7 +286,7 @@ def test_gen_update_lazy_schedule():
             assert probes_used == 3  # center + two shifted
             assert rec.eta_candidate is not None
         else:
-            assert probes_used == 1  # just the pre-step loss
+            assert probes_used == 0  # off schedule: no evaluation
             assert rec.eta_candidate is None
     assert ctrl.fit_attempts == 3
     assert ctrl.fits_accepted == 3
@@ -304,7 +302,6 @@ def test_gen_update_accepts_on_convex_slice():
     assert rec.fit_accepted
     assert eta == pytest.approx(expect, rel=1e-12)
     assert rec.fit_r2 == 1.0
-    assert math.isnan(rec.grad_norm)  # the caller's to fill in
 
 
 def test_gen_update_rejects_concave_and_keeps_eta_bits():

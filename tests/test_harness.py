@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from genopt import harness, kernels
-from genopt.core import norm
+from genopt.core import FULL_DATA, Objective, norm
 from genopt.gen import ETA0_GRID
 from genopt.harness import (
     CONVERGENCE_TOL,
@@ -79,6 +79,11 @@ def test_spec_round_trips_through_to_dict():
         ({"start_point": "origin"}, "config.start-point"),
         ({"batch_size": 8}, "config.batch-size.not-stochastic"),
         ({"lerning_rate": 0.1}, "config.unknown-key"),
+        ({"start_point": [math.nan, 2.0]}, "config.start-point"),
+        ({"problem": {"kind": "quadratic", "matrix_a": [[1.0]]},
+          "start_point": [1.0, 2.0]}, "config.start-point"),
+        ({"problem": {"kind": "logreg", "seed": 0, "n": 50, "d": 3},
+          "start_point": [0.0, 0.0]}, "config.start-point"),
     ],
 )
 def test_spec_from_dict_rejects(mutate, code):
@@ -119,6 +124,16 @@ def test_spec_missing_required_key():
         ({"kind": "logreg", "seed": 0, "n": 50, "d": 0}, "config.problem.d"),
         ({"kind": "logreg", "seed": 0, "n": 50, "d": 2, "l2_penalty": -1.0},
          "config.problem.l2"),
+        ({"kind": "quadratic", "matrix_a": [[1.0]], "offset": [math.nan]},
+         "config.problem.offset"),
+        ({"kind": "quadratic", "matrix_a": [[2.0, 1.0], [0.0, 2.0]]},
+         "config.problem.matrix"),
+        ({"kind": "quadratic", "matrix_a": [[1.0, 0.0], [0.0, -1.0]]},
+         "config.problem.matrix"),
+        ({"kind": "quadratic", "matrix_a": [[math.nan]]},
+         "config.problem.matrix"),
+        ({"kind": "quadratic", "matrix_a": [[math.inf]]},
+         "config.problem.matrix"),
     ],
 )
 def test_problem_validation(problem, code):
@@ -140,6 +155,8 @@ def test_problem_validation(problem, code):
         ({"kind": "sgd", "post_process": {"kind": "clip", "max_norm": 0}},
          "config.post.max-norm"),
         ({"kind": "sgd", "post_process": {"kind": "mask", "mask": [0.5]}},
+         "config.post.mask"),
+        ({"kind": "sgd", "post_process": {"kind": "mask", "mask": [1, 0, 1]}},
          "config.post.mask"),
     ],
 )
@@ -171,6 +188,9 @@ def test_sgd_momentum_key_name():
         ({"period": 3}, "config.unknown-key"),
         ({"probe_points": 3.0}, "config.gen.probe-points"),
         ({"probe_points": 5.0}, "config.gen.probe-points"),
+        ({"eta0": math.nan}, "config.gen.eta0"),
+        ({"eta0": math.inf}, "config.gen.eta0"),
+        ({"eta0": 10 ** 400}, "config.gen.eta0"),
     ],
 )
 def test_gen_validation(gen, code):
@@ -296,6 +316,84 @@ def test_run_divergence_halts_early():
     assert result.records[-1].step < 500
     last = result.records[-1]
     assert not math.isfinite(last.loss) or last.loss > DIVERGENCE_LOSS
+
+
+# one unit of u = w / S; w overflows at u = 32
+S = 2.0 ** 1019
+
+
+class _ScaledSlice(Objective):
+    """0.5 * (u - 100)^2 in u = w / S, exact in binary at integer u.
+
+    ``loss_grad`` reports the gradient in u units. ``script`` maps a
+    ``loss_grad`` call number to the (loss, grad) returned instead: on the
+    full batch call k opens step k and closes step k - 1.
+    """
+
+    dim = 1
+    default_start = np.array([0.0])
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = 0
+
+    def loss(self, w, batch=FULL_DATA):
+        return 0.5 * (w[0] / S - 100.0) ** 2
+
+    def loss_grad(self, w, batch=FULL_DATA):
+        self.calls += 1
+        if self.calls in self.script:
+            return self.script[self.calls]
+        u = w[0] / S
+        return 0.5 * (u - 100.0) ** 2, np.array([u - 100.0])
+
+
+# every run steps u forward one unit per unit eta, so step 1 ends at u = 1
+# with loss 4900.5 and step 2 sees the gradient -99. The adaptive run
+# (eta0 1, gamma 0, phi 2) fits on step 2: the probes at u = 0, 1, 2 give
+# the candidate 99, clamped to eta 10; a step-2 direction of -4 S gives
+# the candidate 24.75, also clamped to 10, and a step to u = 41.
+_STOPS = {
+    "loss": ({1: (math.inf, np.array([-100.0]))}, {},
+             {"fixed": (1, math.inf, 1.0, math.nan, None, False, None),
+              "adaptive": (1, math.inf, math.nan, math.nan, None, False,
+                           None)}),
+    "grad": ({2: (4900.5, np.array([math.nan]))}, {},
+             {"fixed": (2, 4900.5, 1.0, math.nan, None, False, None),
+              "adaptive": (2, 4900.5, 1.0, math.nan, None, False, None)}),
+    "direction": ({}, {2: {"fixed": math.inf, "adaptive": math.inf}},
+                  {"fixed": (2, 4900.5, 1.0, 99.0, None, False, None),
+                   "adaptive": (2, 4900.5, 1.0, 99.0, None, False, None)}),
+    "step": ({}, {2: {"fixed": -31 * S, "adaptive": -4 * S}},
+             {"fixed": (2, 4900.5, 1.0, 99.0, None, False, None),
+              "adaptive": (2, 4900.5, 10.0, 99.0, 24.75, True, 1.0)}),
+    "post": ({3: (2e12, np.array([-89.0]))}, {},
+             {"fixed": (2, 2e12, 1.0, 99.0, None, False, None),
+              "adaptive": (2, 2e12, 10.0, 99.0, 99.0, True, 1.0)}),
+}
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize("stop", list(_STOPS))
+def test_each_stop_records_the_step_that_blew_up(mode, stop):
+    losses, directions, expect = _STOPS[stop]
+    steps = []
+
+    def direction_fn(g, w, batch):
+        steps.append(len(steps) + 1)
+        return np.array([directions.get(steps[-1], {}).get(mode, -S)])
+
+    if mode == "fixed":
+        drive = {"eta": 1.0}
+    else:
+        drive = {"gen_cfg": spec_from_dict(_minimal(
+            eta=None, gen={"eta0": 1.0, "gamma": 0.0, "phi": 2})).gen}
+    result = harness._execute(_ScaledSlice(losses), direction_fn,
+                              iterations=3, **drive)
+    assert result.status == "diverged"
+    assert len(result.records) == expect[mode][0]
+    # repr spells nan, inf and None exactly
+    assert repr(dataclasses.astuple(result.records[-1])) == repr(expect[mode])
 
 
 def test_run_batch_size_too_large():
@@ -487,8 +585,9 @@ def test_dataset_memo_keys_on_the_whole_problem():
 
 
 def test_run_rejects_bad_start_dimension():
-    with pytest.raises(Exception):
+    with pytest.raises(SpecError) as e:
         run_experiment(spec_from_dict(_minimal(start_point=[1.0, 2.0, 3.0])))
+    assert _code(e) == "config.start-point"
 
 
 # ---------------------------------------------------------------------------
