@@ -15,7 +15,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
@@ -30,11 +29,16 @@ from .harness import (
     convergence_metrics,
     grid_search_rows,
     pick_best_row,
+    require_eta_or_gen,
     run_experiment,
     spec_from_dict,
 )
 
 FORMAT_VERSION = 1
+
+# libyaml's scanner and parser when PyYAML was built with it; both loaders
+# build their objects with the same SafeConstructor and resolver
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 TRAJECTORY_COLUMNS = ("step", "loss", "eta", "eta_candidate",
                       "fit_accepted", "fit_r2", "grad_norm", "status")
@@ -79,8 +83,12 @@ def load_config(path: str) -> Config:
             text = f.read()
     except OSError as e:
         raise SpecError("config.unreadable", f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise SpecError("config.unreadable",
+                        f"cannot read {path}: byte 0x{e.object[e.start]:02x} "
+                        f"at position {e.start} is not UTF-8 ({e.reason})")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         raise SpecError("config.parse", f"cannot parse {path}: {e}")
     if not isinstance(data, dict):
@@ -200,6 +208,8 @@ def _run_specs(specs: List[ExperimentSpec], jobs: int) -> List[RunResult]:
     workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers <= 1:
         return [run_experiment(s) for s in specs]
+    # imported here so that a serial command never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     # results come back in spec order regardless of completion order
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_experiment, specs))
@@ -229,6 +239,11 @@ def _command(config_path: str, output_dir: Optional[str],
         return 3
 
 
+def _vet_run(specs: List[ExperimentSpec]) -> None:
+    for spec in specs:
+        require_eta_or_gen(spec)
+
+
 def cmd_run(config_path: str, output_dir: Optional[str] = None,
             jobs: int = 1, seed: Optional[int] = None) -> int:
     """Run every experiment; write per-run trajectories plus a summary."""
@@ -243,7 +258,15 @@ def cmd_run(config_path: str, output_dir: Optional[str] = None,
         write_summary_csv(os.path.join(out, "summary.csv"), specs, results)
         print(f"wrote {len(specs)} trajectories + summary.csv to {out}")
         return 0
-    return _command(config_path, output_dir, seed, body)
+    return _command(config_path, output_dir, seed, body, vet=_vet_run)
+
+
+def _vet_grid(specs: List[ExperimentSpec]) -> None:
+    for spec in specs:
+        if spec.gen is not None:
+            raise SpecError("config.grid.gen-not-allowed",
+                            f"experiment {spec.name!r} has gen settings; "
+                            f"grid search tunes fixed-eta baselines")
 
 
 def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
@@ -256,10 +279,6 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
 
     def body(specs, out):
         for spec in specs:
-            if spec.gen is not None:
-                raise SpecError("config.grid.gen-not-allowed",
-                                f"experiment {spec.name!r} has gen settings; "
-                                f"grid search tunes fixed-eta baselines")
             problem = build_problem(spec.problem)
             rows = grid_search_rows(problem, spec.optimizer, spec.iterations,
                                     start_point=spec.start_point,
@@ -278,7 +297,7 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
                 print(f"  eta={row['eta']:<8g} final_loss="
                       f"{row['final_loss']:.6e} [{row['status']}]{mark}")
         return 0
-    return _command(config_path, output_dir, seed, body)
+    return _command(config_path, output_dir, seed, body, vet=_vet_grid)
 
 
 def _vet_compare(specs: List[ExperimentSpec]) -> None:
@@ -302,6 +321,7 @@ def _vet_compare(specs: List[ExperimentSpec]) -> None:
             raise SpecError("config.compare.unpaired",
                             f"optimizer kind {kind!r} is missing its "
                             f"{missing.pop()} counterpart")
+    _vet_run(specs)
 
 
 def cmd_compare(config_path: str, output_dir: Optional[str] = None,

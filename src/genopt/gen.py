@@ -18,7 +18,6 @@ eta = -h evaluates L(w + h * d).
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -35,8 +34,6 @@ from .core import (
     norm,
 )
 from .optim import apply_step
-
-log = logging.getLogger(__name__)
 
 # accepted candidates never move eta by more than this factor per update
 CLAMP_FACTOR = 10.0
@@ -390,7 +387,9 @@ def auto_search_eta0(obj: Objective, w: Array, direction: Array,
     if best_eta is None:
         raise ValueError("no grid point produced a finite loss")
     if best_loss >= l_current:
-        log.warning("starting-rate search found no improving step "
-                    "(current loss %.6g, best probe %.6g at eta=%g)",
-                    l_current, best_loss, best_eta)
+        import logging  # only a failed search has anything to log
+        logging.getLogger(__name__).warning(
+            "starting-rate search found no improving step "
+            "(current loss %.6g, best probe %.6g at eta=%g)",
+            l_current, best_loss, best_eta)
     return best_eta

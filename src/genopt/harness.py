@@ -181,6 +181,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _float_hint(value) -> str:
+    """Why a numeric field that holds a string, such as YAML 1.1's
+    reading of ``1e-5``, is rejected; empty for anything else."""
+    if not isinstance(value, str):
+        return ""
+    try:
+        text = repr(float(value))
+    except ValueError:
+        return ""
+    text = text.replace("inf", ".inf").replace("nan", ".nan")
+    mantissa, e, exponent = text.partition("e")
+    if e and "." not in mantissa:
+        text = f"{mantissa}.0e{exponent}"
+    return (f" (got the string {value!r}; YAML 1.1 reads a float only with "
+            f"a dot and, if it has one, a signed exponent: write {text})")
+
+
 def _check_keys(data: Dict, allowed, required, where: str):
     if not isinstance(data, dict):
         raise SpecError("config.not-a-mapping", f"{where} must be a mapping")
@@ -244,7 +261,8 @@ def _validate_problem(data: Dict, where: str) -> Dict:
         l2 = data.get("l2_penalty", 0.0)
         if not _is_num(l2) or l2 < 0:
             raise SpecError("config.problem.l2",
-                            f"l2_penalty at {where} must be a number >= 0")
+                            f"l2_penalty at {where} must be a number >= 0"
+                            f"{_float_hint(l2)}")
     return dict(data)
 
 
@@ -267,7 +285,8 @@ def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
         _check_keys(data, {"kind", "max_norm"}, {"kind", "max_norm"}, where)
         if not _is_num(data["max_norm"]) or data["max_norm"] <= 0:
             raise SpecError("config.post.max-norm",
-                            f"max_norm at {where} must be a number > 0")
+                            f"max_norm at {where} must be a number > 0"
+                            f"{_float_hint(data['max_norm'])}")
     elif kind == "mask":
         _check_keys(data, {"kind", "mask"}, {"kind", "mask"}, where)
         m = data["mask"]
@@ -308,17 +327,20 @@ def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
             v = data[key]
             if not _is_num(v) or not 0.0 <= v < 1.0:
                 raise SpecError(f"config.optimizer.{key}",
-                                f"{key} at {where} must be in [0, 1)")
+                                f"{key} at {where} must be in [0, 1)"
+                                f"{_float_hint(v)}")
     if "weight_decay" in data:
         v = data["weight_decay"]
         if not _is_num(v) or v < 0:
             raise SpecError("config.optimizer.weight-decay",
-                            f"weight_decay at {where} must be >= 0")
+                            f"weight_decay at {where} must be >= 0"
+                            f"{_float_hint(v)}")
     if "epsilon" in data:
         v = data["epsilon"]
         if not _is_num(v) or v <= 0:
             raise SpecError("config.optimizer.epsilon",
-                            f"epsilon at {where} must be > 0")
+                            f"epsilon at {where} must be > 0"
+                            f"{_float_hint(v)}")
     if "post_process" in data:
         _validate_post_processor(data["post_process"],
                                  f"{where}.post_process", dim)
@@ -332,10 +354,11 @@ def _validate_gen(data: Dict, where: str) -> Dict:
                                   or cfg["eta0"] <= 0):
         raise SpecError("config.gen.eta0",
                         f"eta0 at {where} must be a positive finite number "
-                        f"or 'auto'")
+                        f"or 'auto'{_float_hint(cfg['eta0'])}")
     if not _is_num(cfg["gamma"]) or not 0.0 <= cfg["gamma"] < 1.0:
         raise SpecError("config.gen.gamma",
-                        f"gamma at {where} must be in [0, 1)")
+                        f"gamma at {where} must be in [0, 1)"
+                        f"{_float_hint(cfg['gamma'])}")
     if not _is_int(cfg["phi"]) or cfg["phi"] < 1:
         raise SpecError("config.gen.phi",
                         f"phi at {where} must be an integer >= 1")
@@ -344,7 +367,8 @@ def _validate_gen(data: Dict, where: str) -> Dict:
                         f"probe_points at {where} must be 3 or 5")
     if not _is_num(cfg["r2_threshold"]) or not 0.0 < cfg["r2_threshold"] <= 1.0:
         raise SpecError("config.gen.r2-threshold",
-                        f"r2_threshold at {where} must be in (0, 1]")
+                        f"r2_threshold at {where} must be in (0, 1]"
+                        f"{_float_hint(cfg['r2_threshold'])}")
     if not isinstance(cfg["decay"], bool):
         raise SpecError("config.gen.decay",
                         f"decay at {where} must be a boolean")
@@ -393,7 +417,8 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
     eta = data.get("eta")
     if eta is not None and (not _is_finite_num(eta) or eta <= 0):
         raise SpecError("config.eta",
-                        f"eta at {where} must be a positive finite number")
+                        f"eta at {where} must be a positive finite number"
+                        f"{_float_hint(eta)}")
     gen = data.get("gen")
     if gen is not None:
         gen = _validate_gen(gen, f"{where}.gen")
@@ -594,6 +619,13 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                      ws=ws, gen_stats=gen_stats)
 
 
+def require_eta_or_gen(spec: ExperimentSpec) -> None:
+    """A run needs a rate source; grid-search experiments carry neither."""
+    if spec.eta is None and spec.gen is None:
+        raise SpecError("config.needs-eta-or-gen",
+                        f"experiment {spec.name!r} needs either eta or gen")
+
+
 def run_experiment(spec: ExperimentSpec) -> RunResult:
     """Execute one experiment end to end, bit-reproducibly.
 
@@ -601,9 +633,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     spec that runs is guaranteed to validate, serialize, and reproduce.
     """
     spec = spec_from_dict(spec.to_dict(), where=spec.name)
-    if spec.eta is None and spec.gen is None:
-        raise SpecError("config.needs-eta-or-gen",
-                        f"experiment {spec.name!r} needs either eta or gen")
+    require_eta_or_gen(spec)
     problem = build_problem(spec.problem)
     if spec.batch_size is not None and spec.batch_size > problem.n_samples:
         raise SpecError("config.batch-size.too-large",

@@ -135,8 +135,7 @@ class LogisticRegressionProblem(Objective):
         y = np.asarray(labels)
         if y.shape != (x.shape[0],):
             raise ValueError("labels must match the number of feature rows")
-        uniq = set(np.unique(y).tolist())
-        if not uniq <= {0, 1, False, True}:
+        if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be binary (0/1)")
         if l2_penalty < 0:
             raise ValueError("l2_penalty must be >= 0")

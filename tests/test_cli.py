@@ -2,15 +2,19 @@
 the single-line stderr error contract."""
 
 import csv
+import math
 import pickle
+from pathlib import Path
 
 import pytest
 import yaml
 
-from genopt import harness
+from genopt import cli, harness
 from genopt.cli import FORMAT_VERSION, fmt, main
 
 QUAD = {"kind": "quadratic", "matrix_a": [[2.0, 0.0], [0.0, 8.0]]}
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.yaml"))
 
 
 def _write_config(tmp_path, experiments, name="config.yaml", **root_over):
@@ -180,9 +184,10 @@ def pool_sizes(monkeypatch):
     """Replace the process pool with an inline one; record max_workers.
 
     Like a real pool, it sends the function, each argument, each result and
-    each exception through pickle.
+    each exception through pickle. The CLI imports the pool class from
+    ``concurrent.futures`` only when it forks one, so it is patched there.
     """
-    import genopt.cli
+    import concurrent.futures
 
     sizes = []
 
@@ -205,7 +210,7 @@ def pool_sizes(monkeypatch):
                     raise pickle.loads(pickle.dumps(e)) from None
                 yield pickle.loads(pickle.dumps(out))
 
-    monkeypatch.setattr(genopt.cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -277,6 +282,19 @@ def test_run_worker_spec_error_keeps_its_code(tmp_path, monkeypatch, capsys,
     assert pool_sizes == [2]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_experiment_without_a_rate_is_rejected_before_any_work(
+        tmp_path, monkeypatch, capsys, pool_sizes, command):
+    exps = _compare_experiments()
+    del exps[2]["eta"]  # adamw_base: neither eta nor gen
+    cfg = _write_config(tmp_path, exps)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert main([command, "--config", cfg, "--jobs", "2"]) == 2
+    assert _stderr_code(capsys) == "config.needs-eta-or-gen"
+    assert not (tmp_path / "out").exists()
+    assert pool_sizes == []
+
+
 def test_run_diverged_is_still_exit_zero(tmp_path):
     exp = [{
         "name": "blowup",
@@ -324,6 +342,49 @@ def test_run_unparseable_yaml(tmp_path, capsys):
     path.write_text("experiments: [unclosed", encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
     assert _stderr_code(capsys) == "config.parse"
+
+
+def test_run_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    data = b"format_version: 1\noutput_dir: r\xe9sultats\n"
+    path.write_bytes(data)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[config.unreadable]: ")
+    assert str(path) in err
+    at = data.index(b"\xe9")
+    assert f"byte 0xe9 at position {at} " in err
+
+
+def _same(a, b):
+    """Equal values of equal types, nan equal to nan."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def test_config_loader_is_libyaml_when_available():
+    assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(p.read_text(encoding="utf-8"), id=p.name)
+      for p in CONFIGS),
+    "x: 1e-5", "x: 1.0e-5", "x: .inf", "x: .nan", "x: yes", "x: ~",
+    "x: 0x1F", "x: 1_000", "x: '3'",
+    pytest.param("a: &rate {eta: 0.5}\nb: *rate\n", id="anchor-alias"),
+    pytest.param("x: 1\nx: 2\n", id="duplicate-key"),
+])
+def test_config_loader_builds_what_safe_load_builds(text):
+    got = yaml.load(text, Loader=cli._YAML_LOADER)
+    assert _same(got, yaml.safe_load(text)), (got, yaml.safe_load(text))
 
 
 def test_run_non_mapping_root(tmp_path, capsys):
@@ -410,6 +471,21 @@ def test_grid_search_rejects_a_wrong_dimension(tmp_path, capsys, breakage,
     cfg = _write_config(tmp_path, [exp])
     assert main(["grid-search", "--config", cfg]) == 2
     assert _stderr_code(capsys) == code
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_search_vets_every_experiment_before_running_any(tmp_path,
+                                                             capsys):
+    # the baseline comes first, so a check inside the loop would run and
+    # write its grid before it reached the gen experiment
+    exps = _basic_experiments()
+    del exps[0]["eta"]
+    cfg = _write_config(tmp_path, exps)
+    assert main(["grid-search", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[config.grid.gen-not-allowed]: ")
+    assert captured.out == ""
+    assert list(tmp_path.rglob("*.csv")) == []
     assert not (tmp_path / "out").exists()
 
 

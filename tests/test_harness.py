@@ -84,6 +84,7 @@ def test_spec_round_trips_through_to_dict():
           "start_point": [1.0, 2.0]}, "config.start-point"),
         ({"problem": {"kind": "logreg", "seed": 0, "n": 50, "d": 3},
           "start_point": [0.0, 0.0]}, "config.start-point"),
+        ({"eta": "1e-5"}, "config.eta"),
     ],
 )
 def test_spec_from_dict_rejects(mutate, code):
@@ -134,6 +135,8 @@ def test_spec_missing_required_key():
          "config.problem.matrix"),
         ({"kind": "quadratic", "matrix_a": [[math.inf]]},
          "config.problem.matrix"),
+        ({"kind": "logreg", "seed": 0, "n": 50, "d": 2, "l2_penalty": "1e-5"},
+         "config.problem.l2"),
     ],
 )
 def test_problem_validation(problem, code):
@@ -158,6 +161,14 @@ def test_problem_validation(problem, code):
          "config.post.mask"),
         ({"kind": "sgd", "post_process": {"kind": "mask", "mask": [1, 0, 1]}},
          "config.post.mask"),
+        ({"kind": "sgd", "momentum": "9e-1"}, "config.optimizer.momentum"),
+        ({"kind": "adamw", "beta1": "9e-1"}, "config.optimizer.beta1"),
+        ({"kind": "adamw", "beta2": "1e-3"}, "config.optimizer.beta2"),
+        ({"kind": "sgd", "weight_decay": "1e-4"},
+         "config.optimizer.weight-decay"),
+        ({"kind": "adamw", "epsilon": "1e-8"}, "config.optimizer.epsilon"),
+        ({"kind": "sgd", "post_process": {"kind": "clip", "max_norm": "1e2"}},
+         "config.post.max-norm"),
     ],
 )
 def test_optimizer_validation(optimizer, code):
@@ -191,6 +202,9 @@ def test_sgd_momentum_key_name():
         ({"eta0": math.nan}, "config.gen.eta0"),
         ({"eta0": math.inf}, "config.gen.eta0"),
         ({"eta0": 10 ** 400}, "config.gen.eta0"),
+        ({"eta0": "1e-5"}, "config.gen.eta0"),
+        ({"gamma": "9e-1"}, "config.gen.gamma"),
+        ({"r2_threshold": "99e-2"}, "config.gen.r2-threshold"),
     ],
 )
 def test_gen_validation(gen, code):
@@ -199,6 +213,50 @@ def test_gen_validation(gen, code):
     with pytest.raises(SpecError) as e:
         spec_from_dict(base)
     assert _code(e) == code
+
+
+_NO_ETA = {"eta": None}
+
+
+@pytest.mark.parametrize("over, text, written", [
+    ({"eta": "1e-5"}, "1e-5", "1.0e-05"),
+    ({"eta": "1.5e-5"}, "1.5e-5", "1.5e-05"),
+    ({"eta": "2E+3"}, "2E+3", "2000.0"),
+    ({"eta": "nan"}, "nan", ".nan"),
+    ({"problem": {"kind": "logreg", "seed": 0, "n": 50, "d": 2,
+                  "l2_penalty": "1e-5"}}, "1e-5", "1.0e-05"),
+    ({"optimizer": {"kind": "sgd", "momentum": "9e-1"}}, "9e-1", "0.9"),
+    ({"optimizer": {"kind": "adamw", "beta1": "9e-1"}}, "9e-1", "0.9"),
+    ({"optimizer": {"kind": "adamw", "beta2": "3"}}, "3", "3.0"),
+    ({"optimizer": {"kind": "sgd", "weight_decay": "1e-4"}}, "1e-4",
+     "0.0001"),
+    ({"optimizer": {"kind": "adamw", "epsilon": "1e-8"}}, "1e-8",
+     "1.0e-08"),
+    ({"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "clip", "max_norm": "1e2"}}}, "1e2", "100.0"),
+    (dict(_NO_ETA, gen={"eta0": "1e-5"}), "1e-5", "1.0e-05"),
+    (dict(_NO_ETA, gen={"gamma": "9e-1"}), "9e-1", "0.9"),
+    (dict(_NO_ETA, gen={"r2_threshold": "99e-2"}), "99e-2", "0.99"),
+])
+def test_numeric_field_read_as_a_string_gets_a_hint(over, text, written):
+    base = _minimal(**over)
+    if base["eta"] is None:
+        del base["eta"]
+    with pytest.raises(SpecError) as e:
+        spec_from_dict(base)
+    assert f"got the string {text!r}" in str(e.value)
+    assert str(e.value).endswith(f"write {written})")
+
+
+def test_numeric_field_hint_is_only_for_strings():
+    with pytest.raises(SpecError) as e:
+        spec_from_dict(_minimal(eta=0.0))
+    assert str(e.value).endswith("must be a positive finite number")
+    base = _minimal(gen={"eta0": "search"})
+    del base["eta"]
+    with pytest.raises(SpecError) as e:
+        spec_from_dict(base)
+    assert "YAML" not in str(e.value)
 
 
 def test_gen_defaults_fill_in():

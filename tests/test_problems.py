@@ -297,3 +297,27 @@ def test_generate_dataset_l2_passthrough():
     w = np.ones(2)
     ds0 = generate_dataset(seed=1, n=50, d=2)
     assert ds.loss(w) == pytest.approx(ds0.loss(w) + 0.25 * 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 1, 1, 0]),
+    np.array([0.0, 1.0, 1.0, 0.0]),
+    np.array([False, True, True, False]),
+])
+def test_logreg_accepts_binary_labels(labels):
+    p = LogisticRegressionProblem(np.zeros((4, 2)), labels)
+    assert p.labels.dtype == np.int64
+    np.testing.assert_array_equal(p.labels, [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 1, 2, 0]),
+    np.array([0, 1, -1, 0]),
+    np.array([0.0, 1.0, 0.5, 0.0]),
+    np.array([0.0, 1.0, np.nan, 0.0]),
+    np.array(["0", "1", "1", "0"]),
+    np.array([0, 1, None, 0], dtype=object),
+])
+def test_logreg_rejects_non_binary_labels(labels):
+    with pytest.raises(ValueError, match="labels must be binary"):
+        LogisticRegressionProblem(np.zeros((4, 2)), labels)

@@ -1,7 +1,9 @@
 """Run `genopt run`, `compare` and `grid-search` on every configs/*.yaml
 with two source trees, each into a temporary directory, and compare every
-CSV byte for byte (summary.csv without wall_time_s), the exit codes and
-stderr. Exits 1 on any difference.
+CSV byte for byte (summary.csv without wall_time_s), the exit codes,
+stdout and stderr (each tree's temporary directory replaced by a fixed
+token) and whether the command left its output directory. Exits 1 on any
+difference.
 
     python tools/same_outputs.py OLD/src NEW/src
 """
@@ -15,6 +17,8 @@ from pathlib import Path
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 COMMANDS = ("run", "compare", "grid-search")
+# what each command is compared on besides its CSVs
+FACTS = ("exit code", "stdout", "stderr", "output directory left")
 
 
 def comparable(path):
@@ -35,9 +39,12 @@ def outputs(src, tmp):
             proc = subprocess.run(
                 [sys.executable, "-m", "genopt.cli", cmd, "--config", str(cfg),
                  "--out", str(out)], capture_output=True, env=env, cwd=tmp)
-            got[cmd, cfg.name] = (proc.returncode, proc.stderr,
-                                  {f.name: comparable(f)
-                                   for f in sorted(out.glob("*.csv"))})
+            facts = (proc.returncode,
+                     proc.stdout.replace(os.fsencode(tmp), b"<tmp>"),
+                     proc.stderr.replace(os.fsencode(tmp), b"<tmp>"),
+                     out.is_dir())
+            got[cmd, cfg.name] = (facts, {f.name: comparable(f)
+                                          for f in sorted(out.glob("*.csv"))})
     return got
 
 
@@ -45,19 +52,19 @@ def main(old_src, new_src):
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         old, new = outputs(old_src, a), outputs(new_src, b)
     diffs, n_csv = [], 0
-    for key, (code, err, csvs) in old.items():
-        code2, err2, csvs2 = new[key]
-        if code != code2:
-            diffs.append(f"{key}: exit code {code} != {code2}")
-        if err != err2:
-            diffs.append(f"{key}: stderr differs")
+    for key, (facts, csvs) in old.items():
+        facts2, csvs2 = new[key]
+        for what, x, y in zip(FACTS, facts, facts2):
+            if x != y:
+                shown = "" if isinstance(x, bytes) else f" {x} != {y}"
+                diffs.append(f"{key}: {what} differs{shown}")
         for name in sorted(set(csvs) | set(csvs2)):
             n_csv += 1
             if csvs.get(name) != csvs2.get(name):
                 diffs.append(f"{key}: {name} differs")
     for line in diffs:
         print(line)
-    codes = sorted(code for code, _, _ in old.values())
+    codes = sorted(facts[0] for facts, _ in old.values())
     print(f"{n_csv} CSVs, exit codes {codes}: {len(diffs)} differences")
     return 1 if diffs else 0
 
