@@ -15,7 +15,6 @@ from .core import (
     DimensionMismatchError,
     FULL_DATA,
     FullData,
-    IndexSet,
     NonFiniteError,
     Objective,
     StepRecord,
@@ -78,7 +77,7 @@ __all__ = [
     "CONVERGENCE_TOL", "ClipToNorm", "DIVERGENCE_LOSS",
     "DimensionMismatchError", "ETA0_GRID", "ErrorScalingResult",
     "ExperimentSpec", "FULL_DATA", "FullData", "GenController", "Identity",
-    "IndexSet", "LR_GRID", "LogisticRegressionProblem", "Mask",
+    "LR_GRID", "LogisticRegressionProblem", "Mask",
     "NonFiniteError", "NonFiniteProbeLoss", "Objective", "QuadraticFit",
     "QuadraticProblem", "REJECTED", "RosenbrockProblem", "RunResult",
     "SgdState", "SignSgd", "SpecError", "StepRecord", "SyntheticNoise",

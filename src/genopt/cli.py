@@ -222,6 +222,9 @@ def _command(config_path: str, output_dir: Optional[str],
     ``body(specs, out)``. A config error exits 2, an I/O error 3.
     """
     try:
+        if seed is not None and seed < 0:
+            raise SpecError("config.seed", f"--seed must be a non-negative "
+                                           f"integer, got {seed}")
         config = load_config(config_path)
         specs = config.experiments
         if seed is not None:

@@ -75,23 +75,6 @@ class FullData:
 
 
 @dataclass(frozen=True)
-class IndexSet:
-    """Explicit, duplicate-free sample indices."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) == 0:
-            raise ValueError("IndexSet may not be empty")
-        if len(set(idx)) != len(idx):
-            raise ValueError("IndexSet indices must be duplicate-free")
-        if any(i < 0 for i in idx):
-            raise ValueError("IndexSet indices must be non-negative")
-        object.__setattr__(self, "indices", idx)
-
-
-@dataclass(frozen=True)
 class SyntheticNoise:
     """Seeded uniform draw of ``batch_size`` samples without replacement.
 
@@ -107,7 +90,7 @@ class SyntheticNoise:
             raise ValueError("batch_size must be >= 1")
 
 
-BatchSelector = Union[FullData, IndexSet, SyntheticNoise]
+BatchSelector = Union[FullData, SyntheticNoise]
 
 FULL_DATA = FullData()
 
@@ -128,8 +111,6 @@ class Objective:
     """
 
     dim: int = 0
-    has_exact_hessian: bool = False
-    has_hvp: bool = False
     # known global minimizer, when the problem has one in closed form
     known_minimizer: Optional[Array] = None
     default_start: Optional[Array] = None
@@ -148,9 +129,7 @@ class Objective:
         raise NotImplementedError("objective has no exact hessian")
 
     def hvp(self, w: Array, v: Array, batch: BatchSelector = FULL_DATA) -> Array:
-        if self.has_exact_hessian:
-            return self.hessian(w, batch) @ v
-        raise NotImplementedError("objective has no hessian-vector product")
+        return self.hessian(w, batch) @ v
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .core import (
     FULL_DATA,
     NonFiniteError,
     Objective,
-    norm,
 )
 from .optim import apply_step
 
@@ -191,9 +190,9 @@ class GenController:
     calls from 1, so the first attempt happens on call number phi.
     ``estimator`` picks how the step-size candidate is formed: ``"fit"``
     fits a parabola to probe losses, ``"hvp"`` takes the exact directional
-    curvature from ``exact_eta_hvp``. When ``decay_enabled`` is set,
-    accepted candidates are scaled by the linear schedule factor
-    (1 - step/horizon) before clamping and smoothing.
+    curvature from ``exact_eta_hvp``. When ``horizon`` is set, accepted
+    candidates are scaled by the linear decay factor (1 - step/horizon)
+    before clamping and smoothing.
     fit_attempts / fits_accepted / fits_rejected count the estimates of
     either estimator for diagnostics.
     """
@@ -204,7 +203,6 @@ class GenController:
     probe_points: int = 3
     r2_threshold: float = 0.99
     horizon: Optional[int] = None
-    decay_enabled: bool = False
     estimator: str = "fit"
     step: int = 0
     fit_attempts: int = field(default=0, init=False)
@@ -225,8 +223,6 @@ class GenController:
             raise ValueError("r2_threshold must be in (0, 1]")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1 when set")
-        if self.decay_enabled and self.horizon is None:
-            raise ValueError("decay_enabled requires a horizon")
         if self.estimator not in ("fit", "hvp"):
             raise ValueError("estimator must be 'fit' or 'hvp'")
         if self.step < 0:
@@ -293,9 +289,9 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
     the hvp estimator needs it.
 
     Both estimators share what follows: an accepted candidate is decayed
-    (when enabled), clamped to [eta / CLAMP_FACTOR, eta * CLAMP_FACTOR],
-    then smoothed in. The raw candidate lands in the estimate whether or
-    not it was accepted.
+    (when the controller has a horizon), clamped to
+    [eta / CLAMP_FACTOR, eta * CLAMP_FACTOR], then smoothed in. The raw
+    candidate lands in the estimate whether or not it was accepted.
     """
     if ctrl.estimator == "hvp" and raw_grad is None:
         raise ValueError("the hvp estimator needs raw_grad")
@@ -307,7 +303,7 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
     if estimate.fit_accepted:
         ctrl.fits_accepted += 1
         candidate = estimate.eta_candidate
-        if ctrl.decay_enabled:
+        if ctrl.horizon is not None:
             candidate *= max(0.0, 1.0 - ctrl.step / ctrl.horizon)
         lo = ctrl.eta / CLAMP_FACTOR
         hi = ctrl.eta * CLAMP_FACTOR
@@ -319,34 +315,20 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
 
 
 def exact_eta_hvp(obj: Objective, w: Array, raw_grad: Array, direction: Array,
-                  method: str = "auto",
                   batch: BatchSelector = FULL_DATA) -> Optional[float]:
-    """Curvature-exact step size (g . d) / (d . H d).
+    """Curvature-exact step size (g . d) / (d . H d), with H d from the
+    objective's Hessian-vector product.
 
-    ``method`` picks how H d is formed: "exact" uses the objective's
-    Hessian(-vector product), "fd" central-differences the gradient with
-    epsilon = 1e-5 * (1 + ||w||) / ||d||, and "auto" prefers exact when
-    the objective provides it. Returns None when the directional curvature
-    is not strictly positive, since the quadratic model has no minimum
+    Returns None when the directional curvature is not strictly positive
+    (a zero direction included), since the quadratic model has no minimum
     along d in that case.
     """
-    if method not in ("auto", "exact", "fd"):
-        raise ValueError(f"unknown method {method!r}")
     w = np.asarray(w, dtype=np.float64)
     g = np.asarray(raw_grad, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
     if w.shape != g.shape or w.shape != d.shape:
         raise ValueError("w, raw_grad, and direction must share a shape")
-    d_norm = norm(d)
-    if d_norm == 0.0:
-        return None
-    use_exact = method == "exact" or (
-        method == "auto" and (obj.has_exact_hessian or obj.has_hvp))
-    if use_exact:
-        hd = obj.hvp(w, d, batch)
-    else:
-        h = 1e-5 * (1.0 + norm(w)) / d_norm
-        hd = (obj.grad(w + h * d, batch) - obj.grad(w - h * d, batch)) / (2.0 * h)
+    hd = obj.hvp(w, d, batch)
     denom = float(np.dot(d, hd))
     num = float(np.dot(g, d))
     if not (denom > 0.0 and math.isfinite(denom) and math.isfinite(num)):

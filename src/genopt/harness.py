@@ -259,10 +259,10 @@ def _validate_problem(data: Dict, where: str) -> Dict:
             raise SpecError("config.problem.d",
                             f"d at {where} must be an integer >= 1")
         l2 = data.get("l2_penalty", 0.0)
-        if not _is_num(l2) or l2 < 0:
+        if not _is_finite_num(l2) or l2 < 0:
             raise SpecError("config.problem.l2",
-                            f"l2_penalty at {where} must be a number >= 0"
-                            f"{_float_hint(l2)}")
+                            f"l2_penalty at {where} must be a finite number "
+                            f">= 0{_float_hint(l2)}")
     return dict(data)
 
 
@@ -283,9 +283,9 @@ def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
                         f"unknown post_process kind {kind!r} at {where}")
     if kind == "clip":
         _check_keys(data, {"kind", "max_norm"}, {"kind", "max_norm"}, where)
-        if not _is_num(data["max_norm"]) or data["max_norm"] <= 0:
+        if not _is_finite_num(data["max_norm"]) or data["max_norm"] <= 0:
             raise SpecError("config.post.max-norm",
-                            f"max_norm at {where} must be a number > 0"
+                            f"max_norm at {where} must be a finite number > 0"
                             f"{_float_hint(data['max_norm'])}")
     elif kind == "mask":
         _check_keys(data, {"kind", "mask"}, {"kind", "mask"}, where)
@@ -331,15 +331,15 @@ def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
                                 f"{_float_hint(v)}")
     if "weight_decay" in data:
         v = data["weight_decay"]
-        if not _is_num(v) or v < 0:
+        if not _is_finite_num(v) or v < 0:
             raise SpecError("config.optimizer.weight-decay",
-                            f"weight_decay at {where} must be >= 0"
-                            f"{_float_hint(v)}")
+                            f"weight_decay at {where} must be a finite "
+                            f"number >= 0{_float_hint(v)}")
     if "epsilon" in data:
         v = data["epsilon"]
-        if not _is_num(v) or v <= 0:
+        if not _is_finite_num(v) or v <= 0:
             raise SpecError("config.optimizer.epsilon",
-                            f"epsilon at {where} must be > 0"
+                            f"epsilon at {where} must be a finite number > 0"
                             f"{_float_hint(v)}")
     if "post_process" in data:
         _validate_post_processor(data["post_process"],
@@ -441,6 +441,10 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
             raise SpecError("config.batch-size.not-stochastic",
                             f"batch_size at {where} requires a logreg "
                             f"problem; {problem['kind']!r} is deterministic")
+        if batch_size > problem["n"]:
+            raise SpecError("config.batch-size.too-large",
+                            f"batch_size {batch_size} at {where} exceeds "
+                            f"the dataset size {problem['n']}")
     return ExperimentSpec(
         name=name, problem=problem, optimizer=optimizer,
         iterations=data["iterations"], eta=eta, gen=gen,
@@ -583,7 +587,6 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                         probe_points=gen_cfg["probe_points"],
                         r2_threshold=gen_cfg["r2_threshold"],
                         horizon=iterations if gen_cfg["decay"] else None,
-                        decay_enabled=gen_cfg["decay"],
                         estimator=gen_cfg["estimator"])
                 if ctrl is not None:
                     eta, estimate = gen_update(ctrl, problem, w, d, batch,
@@ -635,10 +638,6 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     spec = spec_from_dict(spec.to_dict(), where=spec.name)
     require_eta_or_gen(spec)
     problem = build_problem(spec.problem)
-    if spec.batch_size is not None and spec.batch_size > problem.n_samples:
-        raise SpecError("config.batch-size.too-large",
-                        f"batch_size {spec.batch_size} exceeds dataset size "
-                        f"{problem.n_samples}")
     direction_fn = build_direction_fn(problem, spec.optimizer)
     return _execute(problem, direction_fn, iterations=spec.iterations,
                     eta=spec.eta, gen_cfg=spec.gen,

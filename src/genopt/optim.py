@@ -37,7 +37,7 @@ class SgdState:
             raise ValueError("dim must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
         self.velocity = np.zeros(self.dim)
 
@@ -62,9 +62,9 @@ class AdamWState:
             raise ValueError("beta1 must be in [0, 1)")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta2 must be in [0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
         self.m = np.zeros(self.dim)
         self.v = np.zeros(self.dim)
@@ -115,7 +115,7 @@ class ClipToNorm:
     max_norm: float
 
     def __post_init__(self):
-        if self.max_norm <= 0:
+        if not self.max_norm > 0:
             raise ValueError("max_norm must be > 0")
 
 

@@ -18,7 +18,6 @@ from .core import (
     BatchSelector,
     FULL_DATA,
     FullData,
-    IndexSet,
     Objective,
     SyntheticNoise,
     as_param_vector,
@@ -29,8 +28,6 @@ class RosenbrockProblem(Objective):
     """f(x1, x2) = 100*(x2 - x1^2)^2 + (1 - x1)^2, minimum at (1, 1)."""
 
     dim = 2
-    has_exact_hessian = True
-    has_hvp = True
 
     def __init__(self):
         self.known_minimizer = np.array([1.0, 1.0])
@@ -55,8 +52,6 @@ class BealeProblem(Objective):
     """Sum of three squared residuals (1.5 - x1 + x1*x2^k terms), minimum (3, 0.5)."""
 
     dim = 2
-    has_exact_hessian = True
-    has_hvp = True
 
     def __init__(self):
         self.known_minimizer = np.array([3.0, 0.5])
@@ -79,9 +74,6 @@ class BealeProblem(Objective):
 
 class QuadraticProblem(Objective):
     """loss = 0.5 * (w - offset)^T A (w - offset) with symmetric positive-definite A."""
-
-    has_exact_hessian = True
-    has_hvp = True
 
     def __init__(self, matrix_a, offset=None):
         a = np.array(matrix_a, dtype=np.float64)
@@ -124,11 +116,7 @@ class LogisticRegressionProblem(Objective):
     batch draw it once.
     """
 
-    has_exact_hessian = True
-    has_hvp = True
-
-    def __init__(self, features, labels, l2_penalty: float = 0.0,
-                 generator_seed: int = 0):
+    def __init__(self, features, labels, l2_penalty: float = 0.0):
         x = np.array(features, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("features must be a non-empty 2-D matrix")
@@ -137,12 +125,11 @@ class LogisticRegressionProblem(Objective):
             raise ValueError("labels must match the number of feature rows")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be binary (0/1)")
-        if l2_penalty < 0:
+        if not l2_penalty >= 0:
             raise ValueError("l2_penalty must be >= 0")
         self.features = x
         self.labels = y.astype(np.int64)
         self.l2_penalty = float(l2_penalty)
-        self.generator_seed = int(generator_seed)
         self.n_samples = x.shape[0]
         self.dim = x.shape[1]
         self.default_start = np.zeros(self.dim)
@@ -154,13 +141,6 @@ class LogisticRegressionProblem(Objective):
     def _resolve(self, batch: BatchSelector) -> Tuple[Array, Array]:
         if isinstance(batch, FullData):
             return self.features, self._y64
-        if isinstance(batch, IndexSet):
-            idx = np.asarray(batch.indices, dtype=np.int64)
-            if idx.size == 0:
-                raise ValueError("empty batch")
-            if int(idx.max()) >= self.n_samples:
-                raise ValueError("IndexSet index out of dataset bounds")
-            return self.features[idx], self._y64[idx]
         if isinstance(batch, SyntheticNoise):
             memo = self._noise_memo
             if memo is not None and memo[0] == batch:
@@ -228,6 +208,5 @@ def generate_dataset(seed: int, n: int, d: int,
     y = (x @ w_true > 0).astype(np.int64)
     flip = rng.random(n) < 0.05
     y = np.where(flip, 1 - y, y)
-    return LogisticRegressionProblem(x, y, l2_penalty=l2_penalty,
-                                     generator_seed=seed)
+    return LogisticRegressionProblem(x, y, l2_penalty=l2_penalty)
 

@@ -44,8 +44,6 @@ class CountingObjective(Objective):
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
-        self.has_exact_hessian = inner.has_exact_hessian
-        self.has_hvp = inner.has_hvp
         self.known_minimizer = inner.known_minimizer
         self.default_start = inner.default_start
         self.loss_calls = 0
@@ -71,8 +69,6 @@ class Cubic1D(Objective):
     """
 
     dim = 1
-    has_exact_hessian = True
-    has_hvp = True
 
     def loss(self, w, batch=FULL_DATA):
         return float(w[0] ** 3)
@@ -94,6 +90,9 @@ class Concave1D(Objective):
 
     def grad(self, w, batch=FULL_DATA):
         return np.array([-float(w[0])])
+
+    def hessian(self, w, batch=FULL_DATA):
+        return np.array([[-1.0]])
 
 
 def random_spd_problem(rng, max_dim=10):

@@ -138,13 +138,13 @@ def test_c04_step_is_scale_invariant():
                 continue
             tried += 1
             base_h = 0.1 / (1.0 + gnorm)
-            eta_ref = exact_eta_hvp(problem, w, g, g, method="exact")
+            eta_ref = exact_eta_hvp(problem, w, g, g)
             fit_ref = fit_quadratic(probe_losses(problem, w, g, base_h))
             if eta_ref is None or fit_ref.curvature <= 0:
                 continue
             for c in scales:
                 d = c * g
-                eta_c = exact_eta_hvp(problem, w, g, d, method="exact")
+                eta_c = exact_eta_hvp(problem, w, g, d)
                 diff = np.linalg.norm(eta_c * d - eta_ref * g)
                 worst = max(worst, diff / np.linalg.norm(eta_ref * g))
                 fit_c = fit_quadratic(
@@ -228,7 +228,7 @@ def test_c07_probe_spacing_error_is_second_order():
     obj = Cubic1D()
     w = np.array([1.0])
     g = obj.grad(w)
-    exact = exact_eta_hvp(obj, w, g, g, method="exact")
+    exact = exact_eta_hvp(obj, w, g, g)
     spacings = (1e-1, 1e-2, 1e-3, 1e-4)
     errs = []
     for h in spacings:

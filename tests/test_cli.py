@@ -167,7 +167,9 @@ def test_command_builds_a_shared_dataset_once(tmp_path, monkeypatch,
     assert built == [(3, 128, 3)]
 
 
-def test_run_parallel_jobs_match_serial(tmp_path):
+def test_run_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    # a one-CPU machine would run --jobs 2 serially; this compares the pool
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     cfg1 = _write_config(tmp_path, _basic_experiments(), name="s.yaml",
                          output_dir=str(tmp_path / "ser"))
     cfg2 = _write_config(tmp_path, _basic_experiments(), name="p.yaml",
@@ -272,13 +274,18 @@ def test_run_caps_workers(tmp_path, monkeypatch, pool_sizes, jobs, cpus,
     assert pool_sizes == expect
 
 
+def _run_raises_spec_error(spec):
+    raise harness.SpecError("config.from-worker", f"raised running {spec.name}")
+
+
 def test_run_worker_spec_error_keeps_its_code(tmp_path, monkeypatch, capsys,
                                               pool_sizes):
-    # the seed override is validated inside run_experiment, in the worker
+    # a SpecError raised in a worker reaches the parent pickled
     cfg = _write_config(tmp_path, _basic_experiments())
+    monkeypatch.setattr(cli, "run_experiment", _run_raises_spec_error)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    assert main(["run", "--config", cfg, "--jobs", "2", "--seed", "-1"]) == 2
-    assert _stderr_code(capsys) == "config.seed"
+    assert main(["run", "--config", cfg, "--jobs", "2"]) == 2
+    assert _stderr_code(capsys) == "config.from-worker"
     assert pool_sizes == [2]
 
 
@@ -293,6 +300,40 @@ def test_experiment_without_a_rate_is_rejected_before_any_work(
     assert _stderr_code(capsys) == "config.needs-eta-or-gen"
     assert not (tmp_path / "out").exists()
     assert pool_sizes == []
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["full", "minibatch"])
+@pytest.mark.parametrize("command", ["run", "compare", "grid-search"])
+def test_negative_seed_is_rejected_before_any_work(
+        tmp_path, monkeypatch, capsys, pool_sizes, command, batched):
+    exps = _compare_experiments()
+    if command == "grid-search":
+        exps = [e for e in exps if "gen" not in e]
+    if batched:
+        for e in exps:
+            e.update(problem={"kind": "logreg", "seed": 3, "n": 64, "d": 2},
+                     batch_size=16)
+    cfg = _write_config(tmp_path, exps)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    jobs = "1" if command == "grid-search" else "2"
+    assert main([command, "--config", cfg, "--jobs", jobs,
+                 "--seed", "-1"]) == 2
+    assert _stderr_code(capsys) == "config.seed"
+    assert not (tmp_path / "out").exists()
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("command", ["run", "grid-search"])
+def test_batch_size_above_the_dataset_size_is_rejected_at_load(
+        tmp_path, capsys, command):
+    exp = [{"name": "big", "problem": {"kind": "logreg", "seed": 3, "n": 64,
+                                       "d": 3},
+            "optimizer": {"kind": "sgd"}, "iterations": 5, "eta": 0.05,
+            "batch_size": 100}]
+    cfg = _write_config(tmp_path, exp)
+    assert main([command, "--config", cfg]) == 2
+    assert _stderr_code(capsys) == "config.batch-size.too-large"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_diverged_is_still_exit_zero(tmp_path):

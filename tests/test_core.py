@@ -7,7 +7,6 @@ from genopt.core import (
     FULL_DATA,
     DimensionMismatchError,
     FullData,
-    IndexSet,
     NonFiniteError,
     Objective,
     StepRecord,
@@ -48,17 +47,6 @@ def test_check_finite_passthrough_and_raise():
         check_finite(np.array([np.nan]), "bad")
 
 
-def test_index_set_validation():
-    s = IndexSet((3, 1, 2))
-    assert s.indices == (3, 1, 2)
-    with pytest.raises(ValueError):
-        IndexSet(())
-    with pytest.raises(ValueError):
-        IndexSet((1, 1))
-    with pytest.raises(ValueError):
-        IndexSet((-1,))
-
-
 def test_synthetic_noise_validation():
     b = SyntheticNoise(seed=5, batch_size=16)
     assert b.seed == 5 and b.batch_size == 16
@@ -72,7 +60,6 @@ def test_full_data_singleton_type():
 
 class _TinyQuadratic(Objective):
     dim = 2
-    has_exact_hessian = True
 
     def loss(self, w, batch=FULL_DATA):
         return float(0.5 * np.dot(w, w))
@@ -92,7 +79,7 @@ def test_objective_base_contract():
         base.grad(np.zeros(1))
     with pytest.raises(NotImplementedError):
         base.hessian(np.zeros(1))
-    # hvp default falls back to the exact hessian when one exists
+    # the default hvp multiplies by the exact hessian, so it needs one
     q = _TinyQuadratic()
     v = np.array([2.0, -1.0])
     np.testing.assert_allclose(q.hvp(np.zeros(2), v), v, rtol=0, atol=0)

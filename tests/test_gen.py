@@ -21,7 +21,7 @@ from genopt.gen import (
     probe_losses,
     smooth,
 )
-from genopt.problems import QuadraticProblem, RosenbrockProblem
+from genopt.problems import QuadraticProblem
 
 
 def _unit_quadratic():
@@ -225,7 +225,7 @@ def test_fd5_beats_lqa3_on_cubic():
     obj = Cubic1D()
     w = np.array([1.0])
     g = obj.grad(w)
-    exact = exact_eta_hvp(obj, w, g, g, method="exact")
+    exact = exact_eta_hvp(obj, w, g, g)
     h = 0.01
     p3 = probe_losses(obj, w, g, h)
     l3 = [l for _, l in p3]
@@ -265,8 +265,6 @@ def test_controller_validation():
         GenController(eta=0.1, r2_threshold=1.5)
     with pytest.raises(ValueError):
         GenController(eta=0.1, horizon=0)
-    with pytest.raises(ValueError):
-        GenController(eta=0.1, decay_enabled=True)  # needs a horizon
     GenController(eta=0.1, estimator="hvp")
     with pytest.raises(ValueError):
         GenController(eta=0.1, estimator="magic")
@@ -389,8 +387,7 @@ def test_gen_update_clamp():
 
 def test_gen_update_decay_schedule():
     p = _unit_quadratic()
-    ctrl = GenController(eta=0.5, phi=1, gamma=0.0, horizon=10,
-                         decay_enabled=True)
+    ctrl = GenController(eta=0.5, phi=1, gamma=0.0, horizon=10)
     w = np.array([1.0])
     g = p.grad(w)
     eta, _ = gen_update(ctrl, p, w, g)
@@ -433,20 +430,8 @@ def test_exact_eta_hvp_on_quadratic():
         w = rng.standard_normal(p.dim)
         g = p.grad(w)
         expect = float(np.dot(g, g) / (g @ p.matrix_a @ g))
-        got = exact_eta_hvp(p, w, g, g, method="exact")
+        got = exact_eta_hvp(p, w, g, g)
         assert got == pytest.approx(expect, rel=1e-14)
-        # finite differences of an affine gradient are exact to rounding
-        got_fd = exact_eta_hvp(p, w, g, g, method="fd")
-        assert got_fd == pytest.approx(expect, rel=1e-8)
-
-
-def test_exact_eta_hvp_auto_prefers_exact():
-    p = RosenbrockProblem()
-    w = np.array([-1.5, 2.0])
-    g = p.grad(w)
-    auto = exact_eta_hvp(p, w, g, g, method="auto")
-    exact = exact_eta_hvp(p, w, g, g, method="exact")
-    assert auto == exact
 
 
 def test_exact_eta_hvp_degenerate_cases():
@@ -455,9 +440,7 @@ def test_exact_eta_hvp_degenerate_cases():
     assert exact_eta_hvp(p, w, np.array([1.0]), np.zeros(1)) is None
     obj = Concave1D()
     g = obj.grad(np.array([1.0]))
-    assert exact_eta_hvp(obj, np.array([1.0]), g, g, method="fd") is None
-    with pytest.raises(ValueError):
-        exact_eta_hvp(p, w, np.array([1.0]), np.array([1.0]), method="bogus")
+    assert exact_eta_hvp(obj, np.array([1.0]), g, g) is None
     with pytest.raises(ValueError):
         exact_eta_hvp(p, w, np.ones(2), np.ones(1))
 
@@ -469,7 +452,7 @@ def test_exact_eta_hvp_newton_direction_gives_unit_step():
         w = rng.standard_normal(p.dim)
         g = p.grad(w)
         d = np.linalg.solve(p.matrix_a, g)
-        eta = exact_eta_hvp(p, w, g, d, method="exact")
+        eta = exact_eta_hvp(p, w, g, d)
         assert eta == pytest.approx(1.0, rel=1e-12)
 
 

@@ -137,6 +137,10 @@ def test_spec_missing_required_key():
          "config.problem.matrix"),
         ({"kind": "logreg", "seed": 0, "n": 50, "d": 2, "l2_penalty": "1e-5"},
          "config.problem.l2"),
+        ({"kind": "logreg", "seed": 0, "n": 50, "d": 2,
+          "l2_penalty": math.nan}, "config.problem.l2"),
+        ({"kind": "logreg", "seed": 0, "n": 50, "d": 2,
+          "l2_penalty": math.inf}, "config.problem.l2"),
     ],
 )
 def test_problem_validation(problem, code):
@@ -168,6 +172,16 @@ def test_problem_validation(problem, code):
          "config.optimizer.weight-decay"),
         ({"kind": "adamw", "epsilon": "1e-8"}, "config.optimizer.epsilon"),
         ({"kind": "sgd", "post_process": {"kind": "clip", "max_norm": "1e2"}},
+         "config.post.max-norm"),
+        ({"kind": "sgd", "weight_decay": math.nan},
+         "config.optimizer.weight-decay"),
+        ({"kind": "adamw", "weight_decay": math.inf},
+         "config.optimizer.weight-decay"),
+        ({"kind": "adamw", "epsilon": math.nan}, "config.optimizer.epsilon"),
+        ({"kind": "adamw", "epsilon": math.inf}, "config.optimizer.epsilon"),
+        ({"kind": "sgd", "post_process": {"kind": "clip", "max_norm": math.nan}},
+         "config.post.max-norm"),
+        ({"kind": "sgd", "post_process": {"kind": "clip", "max_norm": math.inf}},
          "config.post.max-norm"),
     ],
 )
@@ -455,16 +469,21 @@ def test_each_stop_records_the_step_that_blew_up(mode, stop):
 
 
 def test_run_batch_size_too_large():
-    spec = spec_from_dict({
+    data = {
         "problem": {"kind": "logreg", "seed": 0, "n": 32, "d": 2},
         "optimizer": {"kind": "sgd"},
         "iterations": 5,
         "eta": 0.1,
         "batch_size": 64,
-    })
+    }
     with pytest.raises(SpecError) as e:
-        run_experiment(spec)
+        spec_from_dict(data)
     assert _code(e) == "config.batch-size.too-large"
+    # a spec built without validation meets the same check in the run
+    with pytest.raises(SpecError) as e:
+        run_experiment(ExperimentSpec(**data))
+    assert _code(e) == "config.batch-size.too-large"
+    spec_from_dict(dict(data, batch_size=32))
 
 
 def _newton_hvp_quadratic(iterations, **gen):
@@ -637,7 +656,6 @@ def test_dataset_memo_keys_on_the_whole_problem():
     for over in ({"seed": 5}, {"n": 65}, {"d": 2}, {"l2_penalty": 0.5}):
         other = build_problem(dict(base, **over))
         assert other is not first
-        assert other.generator_seed == over.get("seed", 4)
         assert other.features.shape == (over.get("n", 64), over.get("d", 3))
         assert other.l2_penalty == over.get("l2_penalty", 0.0)
 

@@ -29,6 +29,8 @@ def test_sgd_state_validation():
         SgdState(dim=2, momentum=-0.1)
     with pytest.raises(ValueError):
         SgdState(dim=2, weight_decay=-1.0)
+    with pytest.raises(ValueError):
+        SgdState(dim=2, weight_decay=float("nan"))
 
 
 def test_sgd_plain_returns_gradient_copy():
@@ -69,6 +71,10 @@ def test_adamw_state_validation():
         AdamWState(dim=1, epsilon=0.0)
     with pytest.raises(ValueError):
         AdamWState(dim=1, weight_decay=-0.5)
+    with pytest.raises(ValueError):
+        AdamWState(dim=1, epsilon=float("nan"))
+    with pytest.raises(ValueError):
+        AdamWState(dim=1, weight_decay=float("nan"))
 
 
 def test_adamw_first_step_closed_form():
@@ -135,6 +141,8 @@ def test_post_process_clip():
     np.testing.assert_array_equal(post_process(ClipToNorm(max_norm=1.0), zero), zero)
     with pytest.raises(ValueError):
         ClipToNorm(max_norm=0.0)
+    with pytest.raises(ValueError):
+        ClipToNorm(max_norm=float("nan"))
 
 
 def test_post_process_mask():

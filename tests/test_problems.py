@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, fd_hessian
-from genopt.core import FULL_DATA, IndexSet, SyntheticNoise
+from genopt.core import FULL_DATA, SyntheticNoise
 from genopt.problems import (
     BealeProblem,
     LogisticRegressionProblem,
@@ -68,7 +68,6 @@ def test_gradient_vanishes_only_near_minimum(make):
 def test_hvp_via_exact_hessian():
     rng = np.random.default_rng(0)
     for p in (RosenbrockProblem(), BealeProblem()):
-        assert p.has_exact_hessian
         for _ in range(10):
             w = rng.uniform(-2.0, 2.0, size=2)
             v = rng.standard_normal(2)
@@ -159,6 +158,8 @@ def test_logreg_validation():
         LogisticRegressionProblem(x, np.zeros(3))
     with pytest.raises(ValueError):
         LogisticRegressionProblem(x, np.zeros(4), l2_penalty=-0.1)
+    with pytest.raises(ValueError):
+        LogisticRegressionProblem(x, np.zeros(4), l2_penalty=float("nan"))
 
 
 def test_logreg_loss_at_zero_is_log2():
@@ -192,17 +193,6 @@ def test_logreg_convexity_property():
         lam = float(rng.random())
         mid = p.loss(lam * w1 + (1.0 - lam) * w2)
         assert mid <= lam * p.loss(w1) + (1.0 - lam) * p.loss(w2) + 1e-12
-
-
-def test_logreg_index_set_batches():
-    p = _tiny_logreg(n=10, d=2)
-    w = np.array([0.4, -0.2])
-    idx = IndexSet((0, 3, 7))
-    got = p.loss(w, idx)
-    sub = LogisticRegressionProblem(p.features[[0, 3, 7]], p.labels[[0, 3, 7]])
-    assert got == pytest.approx(sub.loss(w), rel=1e-12)
-    with pytest.raises(ValueError):
-        p.loss(w, IndexSet((10,)))
 
 
 def test_logreg_synthetic_noise_batches():

@@ -94,7 +94,6 @@ class _Curvature1D(Objective):
     """Flat loss with an arbitrary exact Hessian, for the hvp estimator."""
 
     dim = 1
-    has_exact_hessian = True
 
     def __init__(self, curvature):
         self.curvature = curvature
@@ -139,8 +138,8 @@ def test_gen_update_keeps_eta_positive_finite_and_clamped(
         eta, gamma, points, r2_threshold, decay, case):
     estimator, obj, l_zero, g, d = case
     ctrl = GenController(eta=eta, gamma=gamma, phi=1, probe_points=points,
-                         r2_threshold=r2_threshold, horizon=3,
-                         decay_enabled=decay, estimator=estimator)
+                         r2_threshold=r2_threshold,
+                         horizon=3 if decay else None, estimator=estimator)
     raw_grad = None if g is None else np.array([g])
     new_eta, rec = gen_update(ctrl, obj, np.array([0.0]), np.array([d]),
                               l_zero=l_zero, raw_grad=raw_grad)

@@ -3,7 +3,8 @@ with two source trees, each into a temporary directory, and compare every
 CSV byte for byte (summary.csv without wall_time_s), the exit codes,
 stdout and stderr (each tree's temporary directory replaced by a fixed
 token) and whether the command left its output directory. Exits 1 on any
-difference.
+difference. Also prints each tree's line count of genopt/*.py, as
+`wc -l` counts it.
 
     python tools/same_outputs.py OLD/src NEW/src
 """
@@ -48,6 +49,11 @@ def outputs(src, tmp):
     return got
 
 
+def line_count(src):
+    return sum(p.read_bytes().count(b"\n")
+               for p in Path(src, "genopt").glob("*.py"))
+
+
 def main(old_src, new_src):
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         old, new = outputs(old_src, a), outputs(new_src, b)
@@ -65,6 +71,8 @@ def main(old_src, new_src):
     for line in diffs:
         print(line)
     codes = sorted(facts[0] for facts, _ in old.values())
+    print(f"genopt/*.py lines: {line_count(old_src)} -> "
+          f"{line_count(new_src)}")
     print(f"{n_csv} CSVs, exit codes {codes}: {len(diffs)} differences")
     return 1 if diffs else 0
 
