@@ -38,14 +38,12 @@ from .gen import (
 from .harness import (
     CONVERGENCE_TOL,
     DIVERGENCE_LOSS,
-    ErrorScalingResult,
     ExperimentSpec,
     LR_GRID,
     RunResult,
     SpecError,
     build_problem,
     convergence_metrics,
-    error_scaling_study,
     grid_search_rows,
     run_experiment,
     spec_from_dict,
@@ -75,15 +73,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamWState", "Array", "BatchSelector", "BealeProblem", "CLAMP_FACTOR",
     "CONVERGENCE_TOL", "ClipToNorm", "DIVERGENCE_LOSS",
-    "DimensionMismatchError", "ETA0_GRID", "ErrorScalingResult",
-    "ExperimentSpec", "FULL_DATA", "FullData", "GenController", "Identity",
-    "LR_GRID", "LogisticRegressionProblem", "Mask",
-    "NonFiniteError", "NonFiniteProbeLoss", "Objective", "QuadraticFit",
-    "QuadraticProblem", "REJECTED", "RosenbrockProblem", "RunResult",
-    "SgdState", "SignSgd", "SpecError", "StepRecord", "SyntheticNoise",
-    "adamw_direction", "apply_step", "as_param_vector", "auto_search_eta0",
-    "build_problem", "convergence_metrics", "error_scaling_study",
-    "exact_eta_hvp", "fit_quadratic", "gen_update", "generate_dataset",
-    "grid_search_rows", "post_process", "probe_losses", "run_experiment",
-    "sgd_direction", "smooth", "spec_from_dict",
+    "DimensionMismatchError", "ETA0_GRID", "ExperimentSpec", "FULL_DATA",
+    "FullData", "GenController", "Identity", "LR_GRID",
+    "LogisticRegressionProblem", "Mask", "NonFiniteError",
+    "NonFiniteProbeLoss", "Objective", "QuadraticFit", "QuadraticProblem",
+    "REJECTED", "RosenbrockProblem", "RunResult", "SgdState", "SignSgd",
+    "SpecError", "StepRecord", "SyntheticNoise", "adamw_direction",
+    "apply_step", "as_param_vector", "auto_search_eta0", "build_problem",
+    "convergence_metrics", "exact_eta_hvp", "fit_quadratic", "gen_update",
+    "generate_dataset", "grid_search_rows", "post_process", "probe_losses",
+    "run_experiment", "sgd_direction", "smooth", "spec_from_dict",
 ]

@@ -25,16 +25,19 @@ from .harness import (
     ExperimentSpec,
     RunResult,
     SpecError,
+    _check_keys,
     build_problem,
     convergence_metrics,
     grid_search_rows,
     pick_best_row,
     require_eta_or_gen,
+    require_grid_optimizer,
     run_experiment,
     spec_from_dict,
 )
 
 FORMAT_VERSION = 1
+_ROOT_KEYS = ("format_version", "output_dir", "experiments")
 
 # libyaml's scanner and parser when PyYAML was built with it; both loaders
 # build their objects with the same SafeConstructor and resolver
@@ -91,17 +94,7 @@ def load_config(path: str) -> Config:
         data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         raise SpecError("config.parse", f"cannot parse {path}: {e}")
-    if not isinstance(data, dict):
-        raise SpecError("config.not-a-mapping",
-                        "config root must be a mapping")
-    for key in data:
-        if key not in ("format_version", "output_dir", "experiments"):
-            raise SpecError("config.unknown-key",
-                            f"unknown key {key!r} at config root")
-    for key in ("format_version", "output_dir", "experiments"):
-        if key not in data:
-            raise SpecError("config.missing-key",
-                            f"missing required key {key!r} at config root")
+    _check_keys(data, _ROOT_KEYS, _ROOT_KEYS, "config root")
     if data["format_version"] != FORMAT_VERSION:
         raise SpecError("config.format-version",
                         f"unsupported format_version "
@@ -270,6 +263,8 @@ def _vet_grid(specs: List[ExperimentSpec]) -> None:
             raise SpecError("config.grid.gen-not-allowed",
                             f"experiment {spec.name!r} has gen settings; "
                             f"grid search tunes fixed-eta baselines")
+    for spec in specs:
+        require_grid_optimizer(spec.optimizer)
 
 
 def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,

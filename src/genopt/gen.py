@@ -350,7 +350,7 @@ def auto_search_eta0(obj: Objective, w: Array, direction: Array,
     eta. If no grid point improves on the current loss (uphill direction)
     that is logged as a warning and the smallest grid eta wins. The
     current loss is ``l_zero`` when the caller already has it, else it is
-    evaluated here. Raises ValueError when every grid point blows up.
+    evaluated here. Raises NonFiniteError when every grid point blows up.
     """
     w = np.asarray(w, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
@@ -367,7 +367,7 @@ def auto_search_eta0(obj: Objective, w: Array, direction: Array,
             best_loss = loss
             best_eta = eta
     if best_eta is None:
-        raise ValueError("no grid point produced a finite loss")
+        raise NonFiniteError("no grid point produced a finite loss")
     if best_loss >= l_current:
         import logging  # only a failed search has anything to log
         logging.getLogger(__name__).warning(

@@ -34,9 +34,7 @@ from .gen import (
     NO_ESTIMATE,
     GenController,
     auto_search_eta0,
-    fit_quadratic,
     gen_update,
-    probe_losses,
 )
 from .optim import (
     AdamWState,
@@ -155,14 +153,6 @@ class RunResult:
     gen_stats: Optional[Dict[str, int]] = None
 
 
-@dataclass
-class ErrorScalingResult:
-    """Per-batch-size candidate spread plus the fitted log-log slope."""
-
-    rows: List[Tuple[int, float]]
-    slope: float
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -198,6 +188,53 @@ def _float_hint(value) -> str:
             f"a dot and, if it has one, a signed exponent: write {text})")
 
 
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1", False)
+_SEED = (lambda v: _is_int(v) and v >= 0, "a non-negative integer", False)
+_UNIT = (lambda v: _is_num(v) and 0.0 <= v < 1.0, "in [0, 1)", True)
+_AT_LEAST_0 = (lambda v: _is_finite_num(v) and v >= 0,
+               "a finite number >= 0", True)
+_ABOVE_0 = (lambda v: _is_finite_num(v) and v > 0, "a finite number > 0", True)
+
+# section -> field -> (test, requirement, takes_float_hint), in check order;
+# "" is the experiment root, where an explicit null leaves eta and
+# batch_size unset
+_FIELD_RULES = {
+    "problem.": dict(seed=_SEED, n=(lambda v: _is_int(v) and v >= 2,
+                                    "an integer >= 2", False),
+                     d=_COUNT, l2_penalty=_AT_LEAST_0),
+    "optimizer.": dict(momentum=_UNIT, beta1=_UNIT, beta2=_UNIT,
+                       weight_decay=_AT_LEAST_0, epsilon=_ABOVE_0),
+    "post.": dict(max_norm=_ABOVE_0),
+    "gen.": dict(
+        eta0=(lambda v: v == "auto" or _ABOVE_0[0](v),
+              "a positive finite number or 'auto'", True),
+        gamma=_UNIT, phi=_COUNT,
+        probe_points=(lambda v: _is_int(v) and v in (3, 5), "3 or 5", False),
+        r2_threshold=(lambda v: _is_num(v) and 0.0 < v <= 1.0, "in (0, 1]",
+                      True),
+        decay=(lambda v: isinstance(v, bool), "a boolean", False),
+        estimator=(lambda v: v in ("fit", "hvp"), "'fit' or 'hvp'", False)),
+    "": dict(iterations=_COUNT, seed=_SEED, log_every=_COUNT,
+             eta=(lambda v: v is None or _ABOVE_0[0](v),
+                  "a positive finite number", True),
+             batch_size=(lambda v: v is None or _COUNT[0](v),
+                         "an integer >= 1", False)),
+}
+
+
+def _check_fields(data: Dict, section: str, where: str, keys=None):
+    """Check every field of ``section`` (only ``keys``, when given) that
+    ``data`` sets, in table order."""
+    rules = _FIELD_RULES[section]
+    for key in keys or rules:
+        test, requirement, takes_float_hint = rules[key]
+        if key in data and not test(data[key]):
+            code = "l2" if key == "l2_penalty" else key.replace("_", "-")
+            hint = _float_hint(data[key]) if takes_float_hint else ""
+            raise SpecError(f"config.{section}{code}",
+                            f"{key} at {where} must be {requirement}{hint}")
+
+
 def _check_keys(data: Dict, allowed, required, where: str):
     if not isinstance(data, dict):
         raise SpecError("config.not-a-mapping", f"{where} must be a mapping")
@@ -205,7 +242,7 @@ def _check_keys(data: Dict, allowed, required, where: str):
         if key not in allowed:
             raise SpecError("config.unknown-key",
                             f"unknown key {key!r} at {where}")
-    for key in required:
+    for key in required:  # a tuple, so the first missing key is stable
         if key not in data:
             raise SpecError("config.missing-key",
                             f"missing required key {key!r} at {where}")
@@ -213,7 +250,7 @@ def _check_keys(data: Dict, allowed, required, where: str):
 
 def _validate_problem(data: Dict, where: str) -> Dict:
     _check_keys(data, {"kind", "matrix_a", "offset", "seed", "n", "d",
-                       "l2_penalty"}, {"kind"}, where)
+                       "l2_penalty"}, ("kind",), where)
     kind = data["kind"]
     if kind not in _PROBLEM_KINDS:
         raise SpecError("config.problem.kind",
@@ -227,7 +264,7 @@ def _validate_problem(data: Dict, where: str) -> Dict:
                             f"(problem {kind!r} takes no parameters)")
     elif kind == "quadratic":
         _check_keys(data, {"kind", "matrix_a", "offset"},
-                    {"kind", "matrix_a"}, where)
+                    ("kind", "matrix_a"), where)
         a = data["matrix_a"]
         if (not isinstance(a, list) or not a
                 or any(not isinstance(row, list) or len(row) != len(a)
@@ -248,21 +285,8 @@ def _validate_problem(data: Dict, where: str) -> Dict:
                             f"{len(a)} finite numbers")
     else:  # logreg
         _check_keys(data, {"kind", "seed", "n", "d", "l2_penalty"},
-                    {"kind", "seed", "n", "d"}, where)
-        if not _is_int(data["seed"]) or data["seed"] < 0:
-            raise SpecError("config.problem.seed",
-                            f"seed at {where} must be a non-negative integer")
-        if not _is_int(data["n"]) or data["n"] < 2:
-            raise SpecError("config.problem.n",
-                            f"n at {where} must be an integer >= 2")
-        if not _is_int(data["d"]) or data["d"] < 1:
-            raise SpecError("config.problem.d",
-                            f"d at {where} must be an integer >= 1")
-        l2 = data.get("l2_penalty", 0.0)
-        if not _is_finite_num(l2) or l2 < 0:
-            raise SpecError("config.problem.l2",
-                            f"l2_penalty at {where} must be a finite number "
-                            f">= 0{_float_hint(l2)}")
+                    ("kind", "seed", "n", "d"), where)
+        _check_fields(data, "problem.", where)
     return dict(data)
 
 
@@ -276,19 +300,16 @@ def _problem_dim(problem: Dict) -> int:
 
 
 def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
-    _check_keys(data, {"kind", "max_norm", "mask"}, {"kind"}, where)
+    _check_keys(data, {"kind", "max_norm", "mask"}, ("kind",), where)
     kind = data.get("kind")
     if kind not in ("identity", "sign", "clip", "mask"):
         raise SpecError("config.post.kind",
                         f"unknown post_process kind {kind!r} at {where}")
     if kind == "clip":
-        _check_keys(data, {"kind", "max_norm"}, {"kind", "max_norm"}, where)
-        if not _is_finite_num(data["max_norm"]) or data["max_norm"] <= 0:
-            raise SpecError("config.post.max-norm",
-                            f"max_norm at {where} must be a finite number > 0"
-                            f"{_float_hint(data['max_norm'])}")
+        _check_keys(data, {"kind", "max_norm"}, ("kind", "max_norm"), where)
+        _check_fields(data, "post.", where)
     elif kind == "mask":
-        _check_keys(data, {"kind", "mask"}, {"kind", "mask"}, where)
+        _check_keys(data, {"kind", "mask"}, ("kind", "mask"), where)
         m = data["mask"]
         if (not isinstance(m, list) or len(m) != dim
                 or any(v not in (0, 1) for v in m)):
@@ -305,7 +326,7 @@ def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
 
 def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
     _check_keys(data, {"kind", "momentum", "weight_decay", "beta1", "beta2",
-                       "epsilon", "post_process"}, {"kind"}, where)
+                       "epsilon", "post_process"}, ("kind",), where)
     kind = data["kind"]
     if kind not in _OPTIMIZER_KINDS:
         raise SpecError("config.optimizer.kind",
@@ -322,25 +343,7 @@ def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
             raise SpecError("config.unknown-key",
                             f"unknown key {key!r} at {where} for "
                             f"optimizer kind {kind!r}")
-    for key in ("momentum", "beta1", "beta2"):
-        if key in data:
-            v = data[key]
-            if not _is_num(v) or not 0.0 <= v < 1.0:
-                raise SpecError(f"config.optimizer.{key}",
-                                f"{key} at {where} must be in [0, 1)"
-                                f"{_float_hint(v)}")
-    if "weight_decay" in data:
-        v = data["weight_decay"]
-        if not _is_finite_num(v) or v < 0:
-            raise SpecError("config.optimizer.weight-decay",
-                            f"weight_decay at {where} must be a finite "
-                            f"number >= 0{_float_hint(v)}")
-    if "epsilon" in data:
-        v = data["epsilon"]
-        if not _is_finite_num(v) or v <= 0:
-            raise SpecError("config.optimizer.epsilon",
-                            f"epsilon at {where} must be a finite number > 0"
-                            f"{_float_hint(v)}")
+    _check_fields(data, "optimizer.", where)
     if "post_process" in data:
         _validate_post_processor(data["post_process"],
                                  f"{where}.post_process", dim)
@@ -348,38 +351,9 @@ def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
 
 
 def _validate_gen(data: Dict, where: str) -> Dict:
-    _check_keys(data, set(_GEN_DEFAULTS), set(), where)
-    cfg = dict(_GEN_DEFAULTS, **data)
-    if cfg["eta0"] != "auto" and (not _is_finite_num(cfg["eta0"])
-                                  or cfg["eta0"] <= 0):
-        raise SpecError("config.gen.eta0",
-                        f"eta0 at {where} must be a positive finite number "
-                        f"or 'auto'{_float_hint(cfg['eta0'])}")
-    if not _is_num(cfg["gamma"]) or not 0.0 <= cfg["gamma"] < 1.0:
-        raise SpecError("config.gen.gamma",
-                        f"gamma at {where} must be in [0, 1)"
-                        f"{_float_hint(cfg['gamma'])}")
-    if not _is_int(cfg["phi"]) or cfg["phi"] < 1:
-        raise SpecError("config.gen.phi",
-                        f"phi at {where} must be an integer >= 1")
-    if not _is_int(cfg["probe_points"]) or cfg["probe_points"] not in (3, 5):
-        raise SpecError("config.gen.probe-points",
-                        f"probe_points at {where} must be 3 or 5")
-    if not _is_num(cfg["r2_threshold"]) or not 0.0 < cfg["r2_threshold"] <= 1.0:
-        raise SpecError("config.gen.r2-threshold",
-                        f"r2_threshold at {where} must be in (0, 1]"
-                        f"{_float_hint(cfg['r2_threshold'])}")
-    if not isinstance(cfg["decay"], bool):
-        raise SpecError("config.gen.decay",
-                        f"decay at {where} must be a boolean")
-    if cfg["estimator"] not in ("fit", "hvp"):
-        raise SpecError("config.gen.estimator",
-                        f"estimator at {where} must be 'fit' or 'hvp'")
-    if cfg["decay"] and cfg["estimator"] == "hvp":
-        raise SpecError("config.gen.decay-hvp",
-                        f"decay is not supported with the hvp estimator "
-                        f"(at {where})")
-    return cfg
+    _check_keys(data, _GEN_DEFAULTS, (), where)
+    _check_fields(data, "gen.", where)
+    return dict(_GEN_DEFAULTS, **data)
 
 
 def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
@@ -391,7 +365,7 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
     _check_keys(data, {"name", "problem", "optimizer", "eta", "gen",
                        "start_point", "iterations", "seed", "log_every",
                        "batch_size"},
-                {"problem", "optimizer", "iterations"}, where)
+                ("problem", "optimizer", "iterations"), where)
     name = data.get("name", "experiment")
     if not isinstance(name, str) or not name or any(
             c not in "abcdefghijklmnopqrstuvwxyz"
@@ -403,22 +377,8 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
     dim = _problem_dim(problem)
     optimizer = _validate_optimizer(data["optimizer"], f"{where}.optimizer",
                                     dim)
-    if not _is_int(data["iterations"]) or data["iterations"] < 1:
-        raise SpecError("config.iterations",
-                        f"iterations at {where} must be an integer >= 1")
-    seed = data.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise SpecError("config.seed",
-                        f"seed at {where} must be a non-negative integer")
-    log_every = data.get("log_every", 1)
-    if not _is_int(log_every) or log_every < 1:
-        raise SpecError("config.log-every",
-                        f"log_every at {where} must be an integer >= 1")
+    _check_fields(data, "", where, ("iterations", "seed", "log_every", "eta"))
     eta = data.get("eta")
-    if eta is not None and (not _is_finite_num(eta) or eta <= 0):
-        raise SpecError("config.eta",
-                        f"eta at {where} must be a positive finite number"
-                        f"{_float_hint(eta)}")
     gen = data.get("gen")
     if gen is not None:
         gen = _validate_gen(gen, f"{where}.gen")
@@ -432,11 +392,9 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
         raise SpecError("config.start-point",
                         f"start_point at {where} must be a list of {dim} "
                         f"finite numbers")
+    _check_fields(data, "", where, ("batch_size",))
     batch_size = data.get("batch_size")
     if batch_size is not None:
-        if not _is_int(batch_size) or batch_size < 1:
-            raise SpecError("config.batch-size",
-                            f"batch_size at {where} must be an integer >= 1")
         if problem["kind"] != "logreg":
             raise SpecError("config.batch-size.not-stochastic",
                             f"batch_size at {where} requires a logreg "
@@ -449,7 +407,8 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
         name=name, problem=problem, optimizer=optimizer,
         iterations=data["iterations"], eta=eta, gen=gen,
         start_point=list(start) if start is not None else None,
-        seed=seed, log_every=log_every, batch_size=batch_size,
+        seed=data.get("seed", 0), log_every=data.get("log_every", 1),
+        batch_size=batch_size,
     )
 
 
@@ -514,7 +473,10 @@ def build_direction_fn(problem: Objective, optimizer: Dict) -> Callable:
             return adamw_direction(state, g, w)
     elif kind == "newton":
         def raw(g, w, batch):
-            return np.linalg.solve(problem.hessian(w, batch), g)
+            try:
+                return np.linalg.solve(problem.hessian(w, batch), g)
+            except np.linalg.LinAlgError:  # singular: the step blows up
+                return np.full_like(g, np.nan)
     else:
         raise SpecError("config.optimizer.kind",
                         f"unknown optimizer kind {kind!r}")
@@ -574,20 +536,22 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                 grad_norm = norm(g)
                 d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
                 ok = all_finite(d)
-            if ok:
-                if gen_cfg is not None and ctrl is None:
-                    # first step: resolve the starting rate, then build state
-                    if gen_cfg["eta0"] == "auto":
-                        eta = auto_search_eta0(problem, w, d, batch,
-                                               l_zero=loss)
-                    else:
-                        eta = float(gen_cfg["eta0"])
+            if ok and gen_cfg is not None and ctrl is None:
+                # first step: resolve the starting rate, then build state
+                try:
+                    eta = (auto_search_eta0(problem, w, d, batch, l_zero=loss)
+                           if gen_cfg["eta0"] == "auto"
+                           else float(gen_cfg["eta0"]))
+                except NonFiniteError:  # every starting-rate probe blew up
+                    ok = False
+                else:
                     ctrl = GenController(
                         eta=eta, gamma=gen_cfg["gamma"], phi=gen_cfg["phi"],
                         probe_points=gen_cfg["probe_points"],
                         r2_threshold=gen_cfg["r2_threshold"],
                         horizon=iterations if gen_cfg["decay"] else None,
                         estimator=gen_cfg["estimator"])
+            if ok:
                 if ctrl is not None:
                     eta, estimate = gen_update(ctrl, problem, w, d, batch,
                                                l_zero=loss, raw_grad=g)
@@ -629,6 +593,14 @@ def require_eta_or_gen(spec: ExperimentSpec) -> None:
                         f"experiment {spec.name!r} needs either eta or gen")
 
 
+def require_grid_optimizer(optimizer: Dict) -> None:
+    """Grid search tunes a fixed rate, which a newton step does not take."""
+    if optimizer["kind"] not in ("sgd", "adamw"):
+        raise SpecError("config.grid.optimizer",
+                        "grid search tunes fixed-eta baselines; use an sgd "
+                        "or adamw optimizer")
+
+
 def run_experiment(spec: ExperimentSpec) -> RunResult:
     """Execute one experiment end to end, bit-reproducibly.
 
@@ -647,7 +619,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# studies
+# grid search and metrics
 
 def _as_problem(problem: Union[Objective, Dict]) -> Objective:
     if isinstance(problem, Objective):
@@ -661,10 +633,7 @@ def grid_search_rows(problem: Union[Objective, Dict], optimizer: Dict,
     """Run every grid learning rate once; one row per rate, grid order."""
     obj = _as_problem(problem)
     optimizer = _validate_optimizer(dict(optimizer), "optimizer", obj.dim)
-    if optimizer.get("kind") not in ("sgd", "adamw"):
-        raise SpecError("config.grid.optimizer",
-                        "grid search tunes fixed-eta baselines; use an sgd "
-                        "or adamw optimizer")
+    require_grid_optimizer(optimizer)
     rows = []
     for eta in LR_GRID:
         direction_fn = build_direction_fn(obj, optimizer)
@@ -685,61 +654,6 @@ def pick_best_row(rows: List[Dict]) -> Optional[Dict]:
         if best is None or row["final_loss"] < best["final_loss"]:
             best = row
     return best
-
-
-def error_scaling_study(problem: LogisticRegressionProblem,
-                        batch_sizes: Sequence[int], trials: int, seed: int,
-                        *, eta_prev: float = 0.1) -> ErrorScalingResult:
-    """Spread of the fitted step-size candidate across mini-batch draws.
-
-    Holds the evaluation point fixed, redraws `trials` seeded batches per
-    batch size, and reports the sample standard deviation of the 3-point
-    candidate plus the slope of log(std) against log(B). Statistical
-    theory says the slope should sit near -1/2.
-    """
-    if not isinstance(problem, LogisticRegressionProblem):
-        raise TypeError("error_scaling_study needs a LogisticRegressionProblem")
-    if trials < 50:
-        raise ValueError("trials must be >= 50 for a stable spread estimate")
-    if not batch_sizes:
-        raise ValueError("batch_sizes must be non-empty")
-    for b in batch_sizes:
-        if not _is_int(b) or b < 1 or b > problem.n_samples:
-            raise ValueError(f"batch size {b!r} outside [1, {problem.n_samples}]")
-
-    # fixed, seeded evaluation point with nonzero gradient
-    w = 0.1 * np.random.default_rng(seed).standard_normal(problem.dim)
-    rows: List[Tuple[int, float]] = []
-    for bi, b in enumerate(batch_sizes):
-        candidates = np.empty(trials)
-        for t in range(trials):
-            child = int(np.random.SeedSequence([seed, bi, t])
-                        .generate_state(1)[0])
-            batch = SyntheticNoise(seed=child, batch_size=int(b))
-            l0, g = problem.loss_grad(w, batch)
-            probes = probe_losses(problem, w, g, eta_prev, batch, 3,
-                                  l_zero=l0)
-            fit = fit_quadratic(probes)
-            if fit.curvature <= 0:
-                raise RuntimeError(
-                    f"degenerate curvature at B={b}, trial {t}; the "
-                    f"objective should be convex along its gradient")
-            candidates[t] = fit.eta_candidate
-        # identical draws (e.g. B = n) have zero spread by definition;
-        # don't let the rounding of a trials-term mean masquerade as noise
-        if np.ptp(candidates) == 0.0:
-            spread = 0.0
-        else:
-            spread = float(np.std(candidates, ddof=1))
-        rows.append((int(b), spread))
-
-    pts = [(b, s) for b, s in rows if s > 0.0]
-    if len(pts) >= 2:
-        slope = float(np.polyfit(np.log10([b for b, _ in pts]),
-                                 np.log10([s for _, s in pts]), 1)[0])
-    else:
-        slope = math.nan
-    return ErrorScalingResult(rows=rows, slope=slope)
 
 
 def convergence_metrics(result: RunResult, optimum

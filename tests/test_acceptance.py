@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import Concave1D, Cubic1D, random_spd_problem
-from reference import lqa3_eta
+from reference import error_scaling_study, lqa3_eta
 from genopt.gen import (
     GenController,
     exact_eta_hvp,
@@ -20,7 +20,6 @@ from genopt.gen import (
     probe_losses,
 )
 from genopt.harness import (
-    error_scaling_study,
     grid_search_rows,
     pick_best_row,
     run_experiment,

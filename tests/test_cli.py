@@ -3,7 +3,10 @@ the single-line stderr error contract."""
 
 import csv
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -373,6 +376,26 @@ def test_run_config_root_errors(tmp_path, capsys, breakage, code):
     assert _stderr_code(capsys) == code
 
 
+def test_missing_key_error_is_the_same_under_every_hash_seed(tmp_path):
+    # an experiment that lacks several required keys names the first in
+    # declared order, whatever order a set of strings would iterate in
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("format_version: 1\noutput_dir: out\nexperiments:\n"
+                   "  - {name: only, eta: 0.1}\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    errs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "genopt.cli", "run", "--config", str(cfg)],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert errs == ["error[config.missing-key]: missing required key "
+                    "'problem' at experiments[0]\n"] * 2
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
     assert _stderr_code(capsys) == "config.unreadable"
@@ -512,6 +535,18 @@ def test_grid_search_rejects_a_wrong_dimension(tmp_path, capsys, breakage,
     cfg = _write_config(tmp_path, [exp])
     assert main(["grid-search", "--config", cfg]) == 2
     assert _stderr_code(capsys) == code
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_search_rejects_newton_before_any_output(tmp_path, capsys):
+    # the sgd experiment comes first, so a check inside the loop would
+    # write its grid before it reached the newton one
+    exps = [{"name": name, "problem": dict(QUAD), "optimizer": {"kind": kind},
+             "iterations": 10} for name, kind in (("tune", "sgd"),
+                                                  ("newton", "newton"))]
+    cfg = _write_config(tmp_path, exps)
+    assert main(["grid-search", "--config", cfg]) == 2
+    assert _stderr_code(capsys) == "config.grid.optimizer"
     assert not (tmp_path / "out").exists()
 
 

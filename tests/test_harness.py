@@ -1,5 +1,6 @@
-"""Experiment runner: config validation, reproducible execution,
-grid-search baselines, and the study helpers."""
+"""Experiment runner: config validation and its exact messages,
+reproducible execution, grid-search baselines, and the test-side
+batch-noise study."""
 
 import dataclasses
 import math
@@ -7,8 +8,9 @@ import pickle
 
 import numpy as np
 import pytest
+import yaml
 
-from genopt import harness, kernels
+from genopt import cli, harness, kernels
 from genopt.core import FULL_DATA, Objective, norm
 from genopt.gen import ETA0_GRID
 from genopt.harness import (
@@ -19,13 +21,13 @@ from genopt.harness import (
     SpecError,
     build_problem,
     convergence_metrics,
-    error_scaling_study,
     grid_search_rows,
     pick_best_row,
     run_experiment,
     spec_from_dict,
 )
 from genopt.problems import QuadraticProblem, generate_dataset
+from reference import error_scaling_study
 
 ROSEN = {"kind": "rosenbrock"}
 SGD = {"kind": "sgd"}
@@ -209,7 +211,7 @@ def test_sgd_momentum_key_name():
         ({"r2_threshold": 0.0}, "config.gen.r2-threshold"),
         ({"decay": "yes"}, "config.gen.decay"),
         ({"estimator": "magic"}, "config.gen.estimator"),
-        ({"decay": True, "estimator": "hvp"}, "config.gen.decay-hvp"),
+        ({"decay": 1, "estimator": "hvp"}, "config.gen.decay"),
         ({"period": 3}, "config.unknown-key"),
         ({"probe_points": 3.0}, "config.gen.probe-points"),
         ({"probe_points": 5.0}, "config.gen.probe-points"),
@@ -273,6 +275,560 @@ def test_numeric_field_hint_is_only_for_strings():
     assert "YAML" not in str(e.value)
 
 
+# ---------------------------------------------------------------------------
+# golden validation messages: every SpecError site in spec_from_dict and
+# cli.load_config, with its exact code and message
+
+_HINT = (" (got the string '1e-5'; YAML 1.1 reads a float only with a dot "
+         "and, if it has one, a signed exponent: write 1.0e-05)")
+_LOGREG = {"kind": "logreg", "seed": 0, "n": 50, "d": 2}
+_DROP = "<drop>"
+
+
+def _field_input(section, key, value):
+    """A valid experiment with ``value`` at ``key`` of ``section``; the
+    section "" is the experiment root."""
+    if section == "problem":
+        return _minimal(problem=dict(_LOGREG, **{key: value}))
+    if section == "optimizer":
+        kind = "adamw" if key in ("beta1", "beta2", "epsilon") else "sgd"
+        return _minimal(optimizer={"kind": kind, key: value})
+    if section == "post":
+        return _minimal(optimizer={"kind": "sgd", "post_process": {
+            "kind": "clip", key: value}})
+    if section == "gen":
+        return _mutated({"eta": _DROP, "gen": {key: value}})
+    return _minimal(**{key: value})
+
+
+def _mutated(mutation):
+    # a mapping overrides (or, with _DROP, deletes) keys of the minimal
+    # experiment; anything else replaces the experiment
+    if not isinstance(mutation, dict):
+        return mutation
+    data = _minimal()
+    for key, value in mutation.items():
+        if value == _DROP:
+            del data[key]
+        else:
+            data[key] = value
+    return data
+
+
+def _outcome(data):
+    try:
+        spec_from_dict(data)
+    except SpecError as e:
+        return e.code, str(e)
+    return None, None
+
+
+# (section, key, value, code, message) for null, a string that YAML 1.1
+# reads from 1e-5, a boolean, an integer past the float range and an
+# out-of-range number; a code of None means the experiment is accepted
+_FIELD_GOLDEN = [
+    ("problem", "seed", None, "config.problem.seed",
+     "seed at experiment.problem must be a non-negative integer"),
+    ("problem", "seed", "1e-5", "config.problem.seed",
+     "seed at experiment.problem must be a non-negative integer"),
+    ("problem", "seed", True, "config.problem.seed",
+     "seed at experiment.problem must be a non-negative integer"),
+    ("problem", "seed", 10 ** 400, None, None),
+    ("problem", "seed", -1, "config.problem.seed",
+     "seed at experiment.problem must be a non-negative integer"),
+    ("problem", "n", None, "config.problem.n",
+     "n at experiment.problem must be an integer >= 2"),
+    ("problem", "n", "1e-5", "config.problem.n",
+     "n at experiment.problem must be an integer >= 2"),
+    ("problem", "n", True, "config.problem.n",
+     "n at experiment.problem must be an integer >= 2"),
+    ("problem", "n", 10 ** 400, None, None),
+    ("problem", "n", 1, "config.problem.n",
+     "n at experiment.problem must be an integer >= 2"),
+    ("problem", "d", None, "config.problem.d",
+     "d at experiment.problem must be an integer >= 1"),
+    ("problem", "d", "1e-5", "config.problem.d",
+     "d at experiment.problem must be an integer >= 1"),
+    ("problem", "d", True, "config.problem.d",
+     "d at experiment.problem must be an integer >= 1"),
+    ("problem", "d", 10 ** 400, None, None),
+    ("problem", "d", 0, "config.problem.d",
+     "d at experiment.problem must be an integer >= 1"),
+    ("problem", "l2_penalty", None, "config.problem.l2",
+     "l2_penalty at experiment.problem must be a finite number >= 0"),
+    ("problem", "l2_penalty", "1e-5", "config.problem.l2",
+     "l2_penalty at experiment.problem must be a finite number >= 0" + _HINT),
+    ("problem", "l2_penalty", True, "config.problem.l2",
+     "l2_penalty at experiment.problem must be a finite number >= 0"),
+    ("problem", "l2_penalty", 10 ** 400, "config.problem.l2",
+     "l2_penalty at experiment.problem must be a finite number >= 0"),
+    ("problem", "l2_penalty", -1.0, "config.problem.l2",
+     "l2_penalty at experiment.problem must be a finite number >= 0"),
+    ("optimizer", "momentum", None, "config.optimizer.momentum",
+     "momentum at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "momentum", "1e-5", "config.optimizer.momentum",
+     "momentum at experiment.optimizer must be in [0, 1)" + _HINT),
+    ("optimizer", "momentum", True, "config.optimizer.momentum",
+     "momentum at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "momentum", 10 ** 400, "config.optimizer.momentum",
+     "momentum at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "momentum", 1.0, "config.optimizer.momentum",
+     "momentum at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta1", None, "config.optimizer.beta1",
+     "beta1 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta1", "1e-5", "config.optimizer.beta1",
+     "beta1 at experiment.optimizer must be in [0, 1)" + _HINT),
+    ("optimizer", "beta1", True, "config.optimizer.beta1",
+     "beta1 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta1", 10 ** 400, "config.optimizer.beta1",
+     "beta1 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta1", 1.0, "config.optimizer.beta1",
+     "beta1 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta2", None, "config.optimizer.beta2",
+     "beta2 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta2", "1e-5", "config.optimizer.beta2",
+     "beta2 at experiment.optimizer must be in [0, 1)" + _HINT),
+    ("optimizer", "beta2", True, "config.optimizer.beta2",
+     "beta2 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta2", 10 ** 400, "config.optimizer.beta2",
+     "beta2 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "beta2", -0.5, "config.optimizer.beta2",
+     "beta2 at experiment.optimizer must be in [0, 1)"),
+    ("optimizer", "weight_decay", None, "config.optimizer.weight-decay",
+     "weight_decay at experiment.optimizer must be a finite number >= 0"),
+    ("optimizer", "weight_decay", "1e-5", "config.optimizer.weight-decay",
+     "weight_decay at experiment.optimizer must be a finite "
+     "number >= 0" + _HINT),
+    ("optimizer", "weight_decay", True, "config.optimizer.weight-decay",
+     "weight_decay at experiment.optimizer must be a finite number >= 0"),
+    ("optimizer", "weight_decay", 10 ** 400, "config.optimizer.weight-decay",
+     "weight_decay at experiment.optimizer must be a finite number >= 0"),
+    ("optimizer", "weight_decay", -1.0, "config.optimizer.weight-decay",
+     "weight_decay at experiment.optimizer must be a finite number >= 0"),
+    ("optimizer", "epsilon", None, "config.optimizer.epsilon",
+     "epsilon at experiment.optimizer must be a finite number > 0"),
+    ("optimizer", "epsilon", "1e-5", "config.optimizer.epsilon",
+     "epsilon at experiment.optimizer must be a finite number > 0" + _HINT),
+    ("optimizer", "epsilon", True, "config.optimizer.epsilon",
+     "epsilon at experiment.optimizer must be a finite number > 0"),
+    ("optimizer", "epsilon", 10 ** 400, "config.optimizer.epsilon",
+     "epsilon at experiment.optimizer must be a finite number > 0"),
+    ("optimizer", "epsilon", 0.0, "config.optimizer.epsilon",
+     "epsilon at experiment.optimizer must be a finite number > 0"),
+    ("post", "max_norm", None, "config.post.max-norm",
+     "max_norm at experiment.optimizer.post_process must be a "
+     "finite number > 0"),
+    ("post", "max_norm", "1e-5", "config.post.max-norm",
+     "max_norm at experiment.optimizer.post_process must be a "
+     "finite number > 0" + _HINT),
+    ("post", "max_norm", True, "config.post.max-norm",
+     "max_norm at experiment.optimizer.post_process must be a "
+     "finite number > 0"),
+    ("post", "max_norm", 10 ** 400, "config.post.max-norm",
+     "max_norm at experiment.optimizer.post_process must be a "
+     "finite number > 0"),
+    ("post", "max_norm", 0.0, "config.post.max-norm",
+     "max_norm at experiment.optimizer.post_process must be a "
+     "finite number > 0"),
+    ("gen", "eta0", None, "config.gen.eta0",
+     "eta0 at experiment.gen must be a positive finite number or 'auto'"),
+    ("gen", "eta0", "1e-5", "config.gen.eta0",
+     "eta0 at experiment.gen must be a positive finite number or "
+     "'auto'" + _HINT),
+    ("gen", "eta0", True, "config.gen.eta0",
+     "eta0 at experiment.gen must be a positive finite number or 'auto'"),
+    ("gen", "eta0", 10 ** 400, "config.gen.eta0",
+     "eta0 at experiment.gen must be a positive finite number or 'auto'"),
+    ("gen", "eta0", 0.0, "config.gen.eta0",
+     "eta0 at experiment.gen must be a positive finite number or 'auto'"),
+    ("gen", "gamma", None, "config.gen.gamma",
+     "gamma at experiment.gen must be in [0, 1)"),
+    ("gen", "gamma", "1e-5", "config.gen.gamma",
+     "gamma at experiment.gen must be in [0, 1)" + _HINT),
+    ("gen", "gamma", True, "config.gen.gamma",
+     "gamma at experiment.gen must be in [0, 1)"),
+    ("gen", "gamma", 10 ** 400, "config.gen.gamma",
+     "gamma at experiment.gen must be in [0, 1)"),
+    ("gen", "gamma", 1.0, "config.gen.gamma",
+     "gamma at experiment.gen must be in [0, 1)"),
+    ("gen", "phi", None, "config.gen.phi",
+     "phi at experiment.gen must be an integer >= 1"),
+    ("gen", "phi", "1e-5", "config.gen.phi",
+     "phi at experiment.gen must be an integer >= 1"),
+    ("gen", "phi", True, "config.gen.phi",
+     "phi at experiment.gen must be an integer >= 1"),
+    ("gen", "phi", 10 ** 400, None, None),
+    ("gen", "phi", 0, "config.gen.phi",
+     "phi at experiment.gen must be an integer >= 1"),
+    ("gen", "probe_points", None, "config.gen.probe-points",
+     "probe_points at experiment.gen must be 3 or 5"),
+    ("gen", "probe_points", "1e-5", "config.gen.probe-points",
+     "probe_points at experiment.gen must be 3 or 5"),
+    ("gen", "probe_points", True, "config.gen.probe-points",
+     "probe_points at experiment.gen must be 3 or 5"),
+    ("gen", "probe_points", 10 ** 400, "config.gen.probe-points",
+     "probe_points at experiment.gen must be 3 or 5"),
+    ("gen", "probe_points", 4, "config.gen.probe-points",
+     "probe_points at experiment.gen must be 3 or 5"),
+    ("gen", "r2_threshold", None, "config.gen.r2-threshold",
+     "r2_threshold at experiment.gen must be in (0, 1]"),
+    ("gen", "r2_threshold", "1e-5", "config.gen.r2-threshold",
+     "r2_threshold at experiment.gen must be in (0, 1]" + _HINT),
+    ("gen", "r2_threshold", True, "config.gen.r2-threshold",
+     "r2_threshold at experiment.gen must be in (0, 1]"),
+    ("gen", "r2_threshold", 10 ** 400, "config.gen.r2-threshold",
+     "r2_threshold at experiment.gen must be in (0, 1]"),
+    ("gen", "r2_threshold", 0.0, "config.gen.r2-threshold",
+     "r2_threshold at experiment.gen must be in (0, 1]"),
+    ("gen", "decay", None, "config.gen.decay",
+     "decay at experiment.gen must be a boolean"),
+    ("gen", "decay", "1e-5", "config.gen.decay",
+     "decay at experiment.gen must be a boolean"),
+    ("gen", "decay", True, None, None),
+    ("gen", "decay", 10 ** 400, "config.gen.decay",
+     "decay at experiment.gen must be a boolean"),
+    ("gen", "decay", "yes", "config.gen.decay",
+     "decay at experiment.gen must be a boolean"),
+    ("gen", "estimator", None, "config.gen.estimator",
+     "estimator at experiment.gen must be 'fit' or 'hvp'"),
+    ("gen", "estimator", "1e-5", "config.gen.estimator",
+     "estimator at experiment.gen must be 'fit' or 'hvp'"),
+    ("gen", "estimator", True, "config.gen.estimator",
+     "estimator at experiment.gen must be 'fit' or 'hvp'"),
+    ("gen", "estimator", 10 ** 400, "config.gen.estimator",
+     "estimator at experiment.gen must be 'fit' or 'hvp'"),
+    ("gen", "estimator", "magic", "config.gen.estimator",
+     "estimator at experiment.gen must be 'fit' or 'hvp'"),
+    ("", "iterations", None, "config.iterations",
+     "iterations at experiment must be an integer >= 1"),
+    ("", "iterations", "1e-5", "config.iterations",
+     "iterations at experiment must be an integer >= 1"),
+    ("", "iterations", True, "config.iterations",
+     "iterations at experiment must be an integer >= 1"),
+    ("", "iterations", 10 ** 400, None, None),
+    ("", "iterations", 0, "config.iterations",
+     "iterations at experiment must be an integer >= 1"),
+    ("", "seed", None, "config.seed",
+     "seed at experiment must be a non-negative integer"),
+    ("", "seed", "1e-5", "config.seed",
+     "seed at experiment must be a non-negative integer"),
+    ("", "seed", True, "config.seed",
+     "seed at experiment must be a non-negative integer"),
+    ("", "seed", 10 ** 400, None, None),
+    ("", "seed", -1, "config.seed",
+     "seed at experiment must be a non-negative integer"),
+    ("", "log_every", None, "config.log-every",
+     "log_every at experiment must be an integer >= 1"),
+    ("", "log_every", "1e-5", "config.log-every",
+     "log_every at experiment must be an integer >= 1"),
+    ("", "log_every", True, "config.log-every",
+     "log_every at experiment must be an integer >= 1"),
+    ("", "log_every", 10 ** 400, None, None),
+    ("", "log_every", 0, "config.log-every",
+     "log_every at experiment must be an integer >= 1"),
+    ("", "eta", None, None, None),
+    ("", "eta", "1e-5", "config.eta",
+     "eta at experiment must be a positive finite number" + _HINT),
+    ("", "eta", True, "config.eta",
+     "eta at experiment must be a positive finite number"),
+    ("", "eta", 10 ** 400, "config.eta",
+     "eta at experiment must be a positive finite number"),
+    ("", "eta", -1.0, "config.eta",
+     "eta at experiment must be a positive finite number"),
+    ("", "batch_size", None, None, None),
+    ("", "batch_size", "1e-5", "config.batch-size",
+     "batch_size at experiment must be an integer >= 1"),
+    ("", "batch_size", True, "config.batch-size",
+     "batch_size at experiment must be an integer >= 1"),
+    ("", "batch_size", 10 ** 400, "config.batch-size.not-stochastic",
+     "batch_size at experiment requires a logreg problem; "
+     "'rosenbrock' is deterministic"),
+    ("", "batch_size", 0, "config.batch-size",
+     "batch_size at experiment must be an integer >= 1"),
+]
+
+
+def _golden_id(case):
+    section, key, value = case[:3]
+    shown = "10**400" if value == 10 ** 400 else repr(value)
+    return f"{section or 'root'}.{key}={shown}"
+
+
+@pytest.mark.parametrize("section, key, value, code, message", _FIELD_GOLDEN,
+                         ids=[_golden_id(c) for c in _FIELD_GOLDEN])
+def test_field_messages_are_pinned(section, key, value, code, message):
+    assert _outcome(_field_input(section, key, value)) == (code, message)
+
+
+def _post(**post):
+    return {"optimizer": {"kind": "sgd", "post_process": post}}
+
+
+def _quadratic(**keys):
+    return {"problem": dict({"kind": "quadratic"}, **keys)}
+
+
+# (id, mutation of the minimal experiment, code, message); the last cases
+# have two or more bad fields, where the first check in order wins
+_SITE_GOLDEN = [
+    ("experiment-not-a-mapping", [],
+     "config.not-a-mapping",
+     "experiment must be a mapping"),
+    ("unknown-root-key", {"lerning_rate": 0.1},
+     "config.unknown-key",
+     "unknown key 'lerning_rate' at experiment"),
+    ("missing-iterations", {"iterations": _DROP},
+     "config.missing-key",
+     "missing required key 'iterations' at experiment"),
+    ("bad-name", {"name": "bad name"},
+     "config.name",
+     "name at experiment must use only letters, digits, '.', '_', '-'"),
+    ("null-name", {"name": None},
+     "config.name",
+     "name at experiment must use only letters, digits, '.', '_', '-'"),
+    ("problem-not-a-mapping", {"problem": 3},
+     "config.not-a-mapping",
+     "experiment.problem must be a mapping"),
+    ("problem-unknown-key", {"problem": {"kind": "rosenbrock", "size": 2}},
+     "config.unknown-key",
+     "unknown key 'size' at experiment.problem"),
+    ("problem-missing-kind", {"problem": {}},
+     "config.missing-key",
+     "missing required key 'kind' at experiment.problem"),
+    ("problem-kind", {"problem": {"kind": "warp"}},
+     "config.problem.kind",
+     "unknown problem kind 'warp' at experiment.problem; expected one of "
+     "('rosenbrock', 'beale', 'quadratic', 'logreg')"),
+    ("rosenbrock-takes-no-parameters",
+     {"problem": {"kind": "rosenbrock", "n": 4}},
+     "config.unknown-key",
+     "unknown key 'n' at experiment.problem "
+     "(problem 'rosenbrock' takes no parameters)"),
+    ("quadratic-unknown-key", _quadratic(matrix_a=[[1.0]], seed=0),
+     "config.unknown-key",
+     "unknown key 'seed' at experiment.problem"),
+    ("quadratic-missing-matrix", _quadratic(),
+     "config.missing-key",
+     "missing required key 'matrix_a' at experiment.problem"),
+    ("matrix-not-square", _quadratic(matrix_a=[[1, 2]]),
+     "config.problem.matrix",
+     "matrix_a at experiment.problem must be a square matrix "
+     "of finite numbers"),
+    ("matrix-not-symmetric", _quadratic(matrix_a=[[2.0, 1.0], [0.0, 2.0]]),
+     "config.problem.matrix",
+     "matrix_a must be symmetric at experiment.problem"),
+    ("matrix-not-positive-definite",
+     _quadratic(matrix_a=[[1.0, 0.0], [0.0, -1.0]]),
+     "config.problem.matrix",
+     "matrix_a must be positive definite at experiment.problem"),
+    ("offset", _quadratic(matrix_a=[[1.0]], offset=[1, 2]),
+     "config.problem.offset",
+     "offset at experiment.problem must be a list of 1 finite numbers"),
+    ("logreg-missing-n", {"problem": {"kind": "logreg", "seed": 0, "d": 2}},
+     "config.missing-key",
+     "missing required key 'n' at experiment.problem"),
+    ("logreg-unknown-key", {"problem": dict(_LOGREG, offset=[0.0])},
+     "config.unknown-key",
+     "unknown key 'offset' at experiment.problem"),
+    ("optimizer-not-a-mapping", {"optimizer": "sgd"},
+     "config.not-a-mapping",
+     "experiment.optimizer must be a mapping"),
+    ("optimizer-unknown-key", {"optimizer": {"kind": "sgd", "lr": 0.1}},
+     "config.unknown-key",
+     "unknown key 'lr' at experiment.optimizer"),
+    ("optimizer-missing-kind", {"optimizer": {}},
+     "config.missing-key",
+     "missing required key 'kind' at experiment.optimizer"),
+    ("optimizer-kind", {"optimizer": {"kind": "lion"}},
+     "config.optimizer.kind",
+     "unknown optimizer kind 'lion' at experiment.optimizer; expected one "
+     "of ('sgd', 'adamw', 'newton')"),
+    ("optimizer-key-for-kind",
+     {"optimizer": {"kind": "adamw", "momentum": 0.9}},
+     "config.unknown-key",
+     "unknown key 'momentum' at experiment.optimizer "
+     "for optimizer kind 'adamw'"),
+    ("post-not-a-mapping",
+     {"optimizer": {"kind": "sgd", "post_process": "clip"}},
+     "config.not-a-mapping",
+     "experiment.optimizer.post_process must be a mapping"),
+    ("post-unknown-key", _post(kind="clip", norm=1.0),
+     "config.unknown-key",
+     "unknown key 'norm' at experiment.optimizer.post_process"),
+    ("post-missing-kind", _post(),
+     "config.missing-key",
+     "missing required key 'kind' at experiment.optimizer.post_process"),
+    ("post-kind", _post(kind="glow"),
+     "config.post.kind",
+     "unknown post_process kind 'glow' at experiment.optimizer.post_process"),
+    ("clip-missing-max-norm", _post(kind="clip"),
+     "config.missing-key",
+     "missing required key 'max_norm' at experiment.optimizer.post_process"),
+    ("clip-key-for-kind", _post(kind="clip", max_norm=1.0, mask=[1, 1]),
+     "config.unknown-key",
+     "unknown key 'mask' at experiment.optimizer.post_process"),
+    ("mask-missing-mask", _post(kind="mask"),
+     "config.missing-key",
+     "missing required key 'mask' at experiment.optimizer.post_process"),
+    ("mask-entries", _post(kind="mask", mask=[0.5, 1]),
+     "config.post.mask",
+     "mask at experiment.optimizer.post_process must be a list of 2 0/1 "
+     "entries"),
+    ("mask-length", _post(kind="mask", mask=[1]),
+     "config.post.mask",
+     "mask at experiment.optimizer.post_process must be a list of 2 0/1 "
+     "entries"),
+    ("sign-takes-no-parameters", _post(kind="sign", max_norm=1.0),
+     "config.unknown-key",
+     "unknown key 'max_norm' at experiment.optimizer.post_process"),
+    ("gen-not-a-mapping", {"eta": _DROP, "gen": "auto"},
+     "config.not-a-mapping",
+     "experiment.gen must be a mapping"),
+    ("gen-unknown-key", {"eta": _DROP, "gen": {"period": 3}},
+     "config.unknown-key",
+     "unknown key 'period' at experiment.gen"),
+    ("eta-and-gen", {"gen": {"eta0": 0.1}},
+     "config.eta-and-gen",
+     "experiment sets both a fixed eta and gen settings; pick one"),
+    ("start-point", {"start_point": "origin"},
+     "config.start-point",
+     "start_point at experiment must be a list of 2 finite numbers"),
+    ("start-point-length", {"start_point": [0.0, 0.0, 0.0]},
+     "config.start-point",
+     "start_point at experiment must be a list of 2 finite numbers"),
+    ("not-stochastic", {"batch_size": 8},
+     "config.batch-size.not-stochastic",
+     "batch_size at experiment requires a logreg problem; 'rosenbrock' is "
+     "deterministic"),
+    ("too-large", {"problem": _LOGREG, "batch_size": 51},
+     "config.batch-size.too-large",
+     "batch_size 51 at experiment exceeds the dataset size 50"),
+    ("problem-before-iterations",
+     {"iterations": 0, "problem": dict(_LOGREG, n=1)},
+     "config.problem.n",
+     "n at experiment.problem must be an integer >= 2"),
+    ("seed-before-n", {"problem": dict(_LOGREG, seed=-1, n=1)},
+     "config.problem.seed",
+     "seed at experiment.problem must be a non-negative integer"),
+    ("n-before-d", {"problem": dict(_LOGREG, n=1, d=0, l2_penalty=-1.0)},
+     "config.problem.n",
+     "n at experiment.problem must be an integer >= 2"),
+    ("momentum-before-weight-decay",
+     {"optimizer": {"kind": "sgd", "weight_decay": -1.0, "momentum": 2.0}},
+     "config.optimizer.momentum",
+     "momentum at experiment.optimizer must be in [0, 1)"),
+    ("gamma-before-phi", {"eta": _DROP, "gen": {"phi": 0, "gamma": 2.0}},
+     "config.gen.gamma",
+     "gamma at experiment.gen must be in [0, 1)"),
+    ("iterations-before-gen",
+     {"iterations": 0, "eta": _DROP, "gen": {"gamma": 2.0}},
+     "config.iterations",
+     "iterations at experiment must be an integer >= 1"),
+    ("gen-before-batch-size",
+     {"batch_size": 0, "eta": _DROP, "gen": {"phi": 0}},
+     "config.gen.phi",
+     "phi at experiment.gen must be an integer >= 1"),
+    ("start-point-before-batch-size", {"batch_size": 0, "start_point": [1.0]},
+     "config.start-point",
+     "start_point at experiment must be a list of 2 finite numbers"),
+    ("eta-and-gen-before-batch-size", {"batch_size": 0, "gen": {}},
+     "config.eta-and-gen",
+     "experiment sets both a fixed eta and gen settings; pick one"),
+]
+
+
+@pytest.mark.parametrize("mutation, code, message",
+                         [c[1:] for c in _SITE_GOLDEN],
+                         ids=[c[0] for c in _SITE_GOLDEN])
+def test_site_messages_are_pinned(mutation, code, message):
+    assert _outcome(_mutated(mutation)) == (code, message)
+
+
+_ROOT = "format_version: 1\noutput_dir: out\n"
+_EXP = ("  - {name: a, problem: {kind: rosenbrock}, optimizer: {kind: sgd}, "
+        "iterations: 5, eta: 0.001}\n")
+
+# (id, file contents or None for no file, code, message with {path} for
+# the config path)
+_LOAD_GOLDEN = [
+    ("missing-file", None,
+     "config.unreadable",
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("not-utf-8", b"format_version: 1\noutput_dir: r\xe9sultats\n",
+     "config.unreadable",
+     "cannot read {path}: byte 0xe9 at position 31 is not UTF-8 "
+     "(invalid continuation byte)"),
+    ("empty-file", "",
+     "config.not-a-mapping",
+     "config root must be a mapping"),
+    ("root-not-a-mapping", "- 1\n",
+     "config.not-a-mapping",
+     "config root must be a mapping"),
+    ("unknown-root-key", "format_version: 1\nsurprise: 1\n",
+     "config.unknown-key",
+     "unknown key 'surprise' at config root"),
+    ("missing-format-version", "output_dir: out\nexperiments: []\n",
+     "config.missing-key",
+     "missing required key 'format_version' at config root"),
+    ("missing-experiments", _ROOT,
+     "config.missing-key",
+     "missing required key 'experiments' at config root"),
+    ("format-version", "format_version: 2\noutput_dir: out\nexperiments:\n",
+     "config.format-version",
+     "unsupported format_version 2; this build reads version 1"),
+    ("format-version-string",
+     "format_version: '1'\noutput_dir: out\nexperiments:\n",
+     "config.format-version",
+     "unsupported format_version '1'; this build reads version 1"),
+    ("output-dir", "format_version: 1\noutput_dir: ''\nexperiments:\n",
+     "config.output-dir",
+     "output_dir must be a non-empty path string"),
+    ("output-dir-number", "format_version: 1\noutput_dir: 3\nexperiments:\n",
+     "config.output-dir",
+     "output_dir must be a non-empty path string"),
+    ("no-experiments", _ROOT + "experiments: []\n",
+     "config.no-experiments",
+     "no experiments: the experiments list is empty"),
+    ("experiments-not-a-list", _ROOT + "experiments: {a: 1}\n",
+     "config.no-experiments",
+     "no experiments: the experiments list is empty"),
+    ("experiment-error",
+     _ROOT + "experiments:\n" + _EXP + _EXP.replace("5", "0"),
+     "config.iterations",
+     "iterations at experiments[1] must be an integer >= 1"),
+    ("duplicate-name", _ROOT + "experiments:\n" + _EXP + _EXP,
+     "config.duplicate-name",
+     "duplicate experiment name 'a'"),
+]
+
+
+@pytest.mark.parametrize("text, code, message",
+                         [c[1:] for c in _LOAD_GOLDEN],
+                         ids=[c[0] for c in _LOAD_GOLDEN])
+def test_load_config_messages_are_pinned(tmp_path, text, code, message):
+    path = tmp_path / "config.yaml"
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(SpecError) as e:
+        cli.load_config(str(path))
+    assert (e.value.code, str(e.value)) == (
+        code, message.replace("{path}", str(path)))
+
+
+def test_load_config_parse_message_is_pinned(tmp_path):
+    # the parser's own text follows the path; it differs between libyaml
+    # and the pure-Python loader
+    text = "experiments: [unclosed"
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(yaml.YAMLError) as parsed:
+        yaml.load(text, Loader=cli._YAML_LOADER)
+    with pytest.raises(SpecError) as e:
+        cli.load_config(str(path))
+    assert (e.value.code, str(e.value)) == (
+        "config.parse", f"cannot parse {path}: {parsed.value}")
+
+
 def test_gen_defaults_fill_in():
     base = _minimal(gen={})
     del base["eta"]
@@ -325,6 +881,49 @@ def test_run_one_step_drop_matches_hand_calculation():
     assert result.final_loss == pytest.approx(expect, rel=1e-12)
     assert result.records[0].eta == pytest.approx(68.0 / 520.0, rel=1e-12)
     assert result.status == "ok"
+
+
+def test_decay_scales_the_hvp_eta():
+    # the exact step on the diag(2, 8) quadratic from (1, 1) is 68/520;
+    # with decay over 4 iterations the first accepted candidate is scaled
+    # by 1 - 1/4 before clamping and smoothing
+    data = {
+        "problem": {"kind": "quadratic", "matrix_a": [[2.0, 0.0], [0.0, 8.0]]},
+        "optimizer": {"kind": "sgd"},
+        "iterations": 4,
+        "start_point": [1.0, 1.0],
+        "gen": {"eta0": 0.1, "gamma": 0.0, "phi": 1, "estimator": "hvp",
+                "decay": True},
+    }
+    first = run_experiment(spec_from_dict(data)).records[0]
+    assert first.eta_candidate == pytest.approx(68.0 / 520.0, rel=1e-12)
+    assert first.fit_accepted
+    assert first.eta == pytest.approx(0.75 * 68.0 / 520.0, rel=1e-12)
+    data["gen"]["decay"] = False
+    undecayed = run_experiment(spec_from_dict(data)).records[0]
+    assert undecayed.eta == pytest.approx(68.0 / 520.0, rel=1e-12)
+
+
+def test_singular_newton_hessian_is_a_diverged_stop():
+    # the Rosenbrock Hessian at (0, 0.005) is diag(0, 200)
+    result = run_experiment(spec_from_dict(_minimal(
+        optimizer={"kind": "newton"}, eta=1.0, start_point=[0.0, 0.005])))
+    assert result.status == "diverged"
+    assert [rec.step for rec in result.records] == [1]
+    assert result.final_loss == pytest.approx(1.0025, rel=1e-12)
+
+
+def test_starting_rate_search_without_a_finite_probe_is_a_diverged_stop():
+    # the weight decay sends every eta0 grid probe to a non-finite loss
+    data = _minimal(problem={"kind": "logreg", "seed": 1, "n": 64, "d": 1},
+                    optimizer={"kind": "sgd", "weight_decay": 1.0e300},
+                    start_point=[-0.001], gen={"eta0": "auto"})
+    del data["eta"]
+    result = run_experiment(spec_from_dict(data))
+    assert result.status == "diverged"
+    assert [rec.step for rec in result.records] == [1]
+    assert math.isnan(result.records[0].eta)
+    assert result.gen_stats is None
 
 
 def test_run_records_post_step_loss():

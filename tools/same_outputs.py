@@ -2,9 +2,11 @@
 with two source trees, each into a temporary directory, and compare every
 CSV byte for byte (summary.csv without wall_time_s), the exit codes,
 stdout and stderr (each tree's temporary directory replaced by a fixed
-token) and whether the command left its output directory. Exits 1 on any
-difference. Also prints each tree's line count of genopt/*.py, as
-`wc -l` counts it.
+token) and whether the command left its output directory. Then run
+`genopt run` on a fixed set of invalid configs, written to the same
+temporary directory, and compare the same facts, so that a change to any
+config error's code or message shows. Exits 1 on any difference. Also
+prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
     python tools/same_outputs.py OLD/src NEW/src
 """
@@ -14,12 +16,91 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+
+import yaml
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 COMMANDS = ("run", "compare", "grid-search")
 # what each command is compared on besides its CSVs
 FACTS = ("exit code", "stdout", "stderr", "output directory left")
+
+LOGREG = {"kind": "logreg", "seed": 0, "n": 50, "d": 2}
+EXPERIMENT = {"name": "bad", "problem": LOGREG, "optimizer": {"kind": "sgd"},
+              "iterations": 5, "eta": 0.001}
+# overrides of EXPERIMENT (a null eta leaves it unset): one bad value per
+# checked field, then the key, kind and cross-field errors. Left out on
+# purpose: several missing required keys (the key named first depended on
+# the hash seed before it followed the declared order), decay with the
+# hvp estimator (an error before it was allowed) and a newton optimizer
+# under grid-search (rejected after the output directory existed before
+# the check moved ahead of it).
+BAD_EXPERIMENTS = {
+    "problem.seed": {"problem": dict(LOGREG, seed=-1)},
+    "problem.n": {"problem": dict(LOGREG, n=1)},
+    "problem.d": {"problem": dict(LOGREG, d=True)},
+    "problem.l2": {"problem": dict(LOGREG, l2_penalty="1e-5")},
+    "optimizer.momentum": {"optimizer": {"kind": "sgd", "momentum": 1.0}},
+    "optimizer.beta1": {"optimizer": {"kind": "adamw", "beta1": "9e-1"}},
+    "optimizer.beta2": {"optimizer": {"kind": "adamw", "beta2": None}},
+    "optimizer.weight-decay": {"optimizer": {"kind": "sgd",
+                                             "weight_decay": float("nan")}},
+    "optimizer.epsilon": {"optimizer": {"kind": "adamw", "epsilon": 0.0}},
+    "post.max-norm": {"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "clip", "max_norm": "1e2"}}},
+    "gen.eta0": {"eta": None, "gen": {"eta0": "1e-5"}},
+    "gen.gamma": {"eta": None, "gen": {"gamma": 1.0}},
+    "gen.phi": {"eta": None, "gen": {"phi": 0}},
+    "gen.probe-points": {"eta": None, "gen": {"probe_points": 3.0}},
+    "gen.r2-threshold": {"eta": None, "gen": {"r2_threshold": 10 ** 400}},
+    "gen.decay": {"eta": None, "gen": {"decay": "yes"}},
+    "gen.estimator": {"eta": None, "gen": {"estimator": "magic"}},
+    "iterations": {"iterations": None},
+    "seed": {"seed": -1},
+    "log-every": {"log_every": 0},
+    "eta": {"eta": "1e-5"},
+    "batch-size": {"batch_size": 0},
+    "two-bad-fields": {"iterations": 0, "eta": None, "gen": {"gamma": 2.0}},
+    "unknown-key": {"lerning_rate": 0.1},
+    "missing-key": {"problem": {"kind": "logreg", "seed": 0, "d": 2}},
+    "not-a-mapping": {"gen": "auto", "eta": None},
+    "problem.kind": {"problem": {"kind": "warp"}},
+    "problem.matrix": {"problem": {"kind": "quadratic",
+                                   "matrix_a": [[1.0, 0.0], [0.0, -1.0]]}},
+    "optimizer.kind": {"optimizer": {"kind": "lion"}},
+    "optimizer.key-for-kind": {"optimizer": {"kind": "adamw",
+                                             "momentum": 0.9}},
+    "post.kind": {"optimizer": {"kind": "sgd",
+                                "post_process": {"kind": "glow"}}},
+    "post.mask": {"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "mask", "mask": [1]}}},
+    "name": {"name": "bad name"},
+    "eta-and-gen": {"gen": {}},
+    "needs-eta-or-gen": {"eta": None},
+    "start-point": {"start_point": [0.0]},
+    "batch-size.not-stochastic": {"problem": {"kind": "rosenbrock"},
+                                  "batch_size": 8},
+    "batch-size.too-large": {"batch_size": 51},
+}
+
+
+def invalid_configs():
+    """Name -> config mapping, for every config that `run` must reject."""
+    root = {"format_version": 1, "output_dir": "out"}
+    configs = {
+        name: dict(root, experiments=[dict(EXPERIMENT, **over)])
+        for name, over in BAD_EXPERIMENTS.items()}
+    configs.update({
+        "root.not-a-mapping": [root],
+        "root.unknown-key": dict(root, experiments=[EXPERIMENT], extra=1),
+        "root.missing-key": root,
+        "root.format-version": dict(root, format_version=2),
+        "root.output-dir": dict(root, output_dir=""),
+        "root.no-experiments": dict(root, experiments=[]),
+        "root.duplicate-name": dict(root, experiments=[EXPERIMENT] * 2),
+    })
+    return configs
 
 
 def comparable(path):
@@ -33,19 +114,24 @@ def comparable(path):
 
 def outputs(src, tmp):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    cases = [(cmd, cfg) for cmd in COMMANDS for cfg in CONFIGS]
+    for name, config in invalid_configs().items():
+        path = Path(tmp, "invalid", f"{name}.yaml")
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        cases.append(("run", path))
     got = {}
-    for cmd in COMMANDS:
-        for cfg in CONFIGS:
-            out = Path(tmp, cmd, cfg.stem)
-            proc = subprocess.run(
-                [sys.executable, "-m", "genopt.cli", cmd, "--config", str(cfg),
-                 "--out", str(out)], capture_output=True, env=env, cwd=tmp)
-            facts = (proc.returncode,
-                     proc.stdout.replace(os.fsencode(tmp), b"<tmp>"),
-                     proc.stderr.replace(os.fsencode(tmp), b"<tmp>"),
-                     out.is_dir())
-            got[cmd, cfg.name] = (facts, {f.name: comparable(f)
-                                          for f in sorted(out.glob("*.csv"))})
+    for cmd, cfg in cases:
+        out = Path(tmp, cmd, cfg.stem)
+        proc = subprocess.run(
+            [sys.executable, "-m", "genopt.cli", cmd, "--config", str(cfg),
+             "--out", str(out)], capture_output=True, env=env, cwd=tmp)
+        facts = (proc.returncode,
+                 proc.stdout.replace(os.fsencode(tmp), b"<tmp>"),
+                 proc.stderr.replace(os.fsencode(tmp), b"<tmp>"),
+                 out.is_dir())
+        got[cmd, cfg.name] = (facts, {f.name: comparable(f)
+                                      for f in sorted(out.glob("*.csv"))})
     return got
 
 
@@ -70,10 +156,11 @@ def main(old_src, new_src):
                 diffs.append(f"{key}: {name} differs")
     for line in diffs:
         print(line)
-    codes = sorted(facts[0] for facts, _ in old.values())
+    codes = sorted(Counter(facts[0] for facts, _ in old.values()).items())
     print(f"genopt/*.py lines: {line_count(old_src)} -> "
           f"{line_count(new_src)}")
-    print(f"{n_csv} CSVs, exit codes {codes}: {len(diffs)} differences")
+    print(f"{len(old)} commands, (exit code, count) {codes}, {n_csv} CSVs: "
+          f"{len(diffs)} differences")
     return 1 if diffs else 0
 
 
