@@ -31,7 +31,7 @@ from .harness import (
     grid_search_rows,
     pick_best_row,
     require_eta_or_gen,
-    require_grid_optimizer,
+    require_grid_specs,
     run_experiment,
     spec_from_dict,
 )
@@ -55,7 +55,6 @@ SUMMARY_COLUMNS = ("name", "status", "iterations", "final_loss", "final_eta",
 class Config:
     experiments: List[ExperimentSpec]
     output_dir: str
-    format_version: int
 
 
 def fmt(value) -> str:
@@ -116,96 +115,82 @@ def load_config(path: str) -> Config:
                             f"duplicate experiment name {spec.name!r}")
         seen.add(spec.name)
         specs.append(spec)
-    return Config(experiments=specs, output_dir=data["output_dir"],
-                  format_version=data["format_version"])
+    return Config(experiments=specs, output_dir=data["output_dir"])
 
 
 # ---------------------------------------------------------------------------
 # CSV writers
 
-def _open_csv(path: str):
-    return open(path, "w", newline="", encoding="utf-8")
+def _write_rows(path: str, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_trajectory_csv(path: str, result: RunResult) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(TRAJECTORY_COLUMNS)
-        last = len(result.records) - 1
-        for i, rec in enumerate(result.records):
-            row_status = result.status if i == last else "ok"
-            w.writerow([fmt(rec.step), fmt(rec.loss), fmt(rec.eta),
-                        fmt(rec.eta_candidate), fmt(rec.fit_accepted),
-                        fmt(rec.fit_r2), fmt(rec.grad_norm), row_status])
+    last = len(result.records) - 1
+    _write_rows(path, TRAJECTORY_COLUMNS, (
+        [fmt(rec.step), fmt(rec.loss), fmt(rec.eta), fmt(rec.eta_candidate),
+         fmt(rec.fit_accepted), fmt(rec.fit_r2), fmt(rec.grad_norm),
+         result.status if i == last else "ok"]
+        for i, rec in enumerate(result.records)))
 
 
 def write_summary_csv(path: str, specs: List[ExperimentSpec],
                       results: List[RunResult]) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(SUMMARY_COLUMNS)
-        for spec, res in zip(specs, results):
-            stats = res.gen_stats or {}
-            w.writerow([
-                spec.name, res.status, fmt(spec.iterations),
-                fmt(res.final_loss),
-                fmt(res.records[-1].eta if res.records else None),
-                f"{res.wall_time:.3f}",
-                fmt(stats.get("fit_attempts")),
-                fmt(stats.get("fits_accepted")),
-                fmt(stats.get("fits_rejected")),
-            ])
+    rows = []
+    for spec, res in zip(specs, results):
+        stats = res.gen_stats or {}
+        rows.append([
+            spec.name, res.status, fmt(spec.iterations),
+            fmt(res.final_loss),
+            fmt(res.records[-1].eta if res.records else None),
+            f"{res.wall_time:.3f}",
+            fmt(stats.get("fit_attempts")),
+            fmt(stats.get("fits_accepted")),
+            fmt(stats.get("fits_rejected")),
+        ])
+    _write_rows(path, SUMMARY_COLUMNS, rows)
 
 
 def write_grid_csv(path: str, rows: List[Dict],
                    best_eta: Optional[float]) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(("eta", "final_loss", "status", "winner"))
-        for row in rows:
-            w.writerow([fmt(row["eta"]), fmt(row["final_loss"]),
-                        row["status"], fmt(row["eta"] == best_eta)])
+    _write_rows(path, ("eta", "final_loss", "status", "winner"), (
+        [fmt(row["eta"]), fmt(row["final_loss"]), row["status"],
+         fmt(row["eta"] == best_eta)] for row in rows))
 
 
 def write_compare_csv(path: str, names: List[str], iterations: int,
                       results: List[RunResult]) -> None:
-    by_step = []
-    for res in results:
-        by_step.append({rec.step: rec.loss for rec in res.records})
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["iter"] + names)
-        for t in range(1, iterations + 1):
-            row = [fmt(t)]
-            for table in by_step:
-                loss = table.get(t)
-                row.append(fmt(loss) if loss is not None else "")
-            w.writerow(row)
+    by_step = [{rec.step: rec.loss for rec in res.records}
+               for res in results]
+    _write_rows(path, ["iter"] + names, (
+        [fmt(t)] + [fmt(table.get(t)) for table in by_step]
+        for t in range(1, iterations + 1)))
 
 
 def write_compare_summary_csv(path: str, entries: List[Dict]) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(("name", "optimizer", "variant", "status", "final_loss",
-                    "iters_to_tol"))
-        for e in entries:
-            w.writerow([e["name"], e["optimizer"], e["variant"], e["status"],
-                        fmt(e["final_loss"]), fmt(e["iters_to_tol"])])
+    _write_rows(path, ("name", "optimizer", "variant", "status",
+                       "final_loss", "iters_to_tol"), (
+        [e["name"], e["optimizer"], e["variant"], e["status"],
+         fmt(e["final_loss"]), fmt(e["iters_to_tol"])] for e in entries))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _run_specs(specs: List[ExperimentSpec], jobs: int) -> List[RunResult]:
+def _run_specs(fn, specs: List[ExperimentSpec], jobs: int) -> List:
+    """``[fn(spec) for spec in specs]``, in up to ``jobs`` worker processes."""
     # the pool forks every worker up front, so never ask for idle ones
     workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers <= 1:
-        return [run_experiment(s) for s in specs]
+        return [fn(s) for s in specs]
     # imported here so that a serial command never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # results come back in spec order regardless of completion order
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, specs))
+        return list(pool.map(fn, specs))
 
 
 def _command(config_path: str, output_dir: Optional[str],
@@ -244,7 +229,7 @@ def cmd_run(config_path: str, output_dir: Optional[str] = None,
             jobs: int = 1, seed: Optional[int] = None) -> int:
     """Run every experiment; write per-run trajectories plus a summary."""
     def body(specs, out):
-        results = _run_specs(specs, jobs)
+        results = _run_specs(run_experiment, specs, jobs)
         for spec, res in zip(specs, results):
             write_trajectory_csv(os.path.join(out, f"{spec.name}.trajectory.csv"),
                                  res)
@@ -257,31 +242,12 @@ def cmd_run(config_path: str, output_dir: Optional[str] = None,
     return _command(config_path, output_dir, seed, body, vet=_vet_run)
 
 
-def _vet_grid(specs: List[ExperimentSpec]) -> None:
-    for spec in specs:
-        if spec.gen is not None:
-            raise SpecError("config.grid.gen-not-allowed",
-                            f"experiment {spec.name!r} has gen settings; "
-                            f"grid search tunes fixed-eta baselines")
-    for spec in specs:
-        require_grid_optimizer(spec.optimizer)
-
-
 def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
                     jobs: int = 1, seed: Optional[int] = None) -> int:
     """Tune each experiment's constant learning rate over the 18-point grid."""
-    if jobs > 1:
-        _err("cli.jobs", f"grid-search runs serially; --jobs must be 1, "
-                         f"got {jobs}")
-        return 2
-
     def body(specs, out):
-        for spec in specs:
-            problem = build_problem(spec.problem)
-            rows = grid_search_rows(problem, spec.optimizer, spec.iterations,
-                                    start_point=spec.start_point,
-                                    seed=spec.seed,
-                                    batch_size=spec.batch_size)
+        results = _run_specs(grid_search_rows, specs, jobs)
+        for spec, rows in zip(specs, results):
             best = pick_best_row(rows)
             if best is None:
                 _err("runtime.grid-all-diverged",
@@ -295,7 +261,8 @@ def cmd_grid_search(config_path: str, output_dir: Optional[str] = None,
                 print(f"  eta={row['eta']:<8g} final_loss="
                       f"{row['final_loss']:.6e} [{row['status']}]{mark}")
         return 0
-    return _command(config_path, output_dir, seed, body, vet=_vet_grid)
+    return _command(config_path, output_dir, seed, body,
+                    vet=require_grid_specs)
 
 
 def _vet_compare(specs: List[ExperimentSpec]) -> None:
@@ -326,7 +293,7 @@ def cmd_compare(config_path: str, output_dir: Optional[str] = None,
                 jobs: int = 1, seed: Optional[int] = None) -> int:
     """Run base/adaptive pairs and emit an aligned loss-vs-iteration table."""
     def body(specs, out):
-        results = _run_specs(specs, jobs)
+        results = _run_specs(run_experiment, specs, jobs)
         names = [s.name for s in specs]
         write_compare_csv(os.path.join(out, "compare.csv"), names,
                           specs[0].iterations, results)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -287,6 +287,12 @@ def _validate_problem(data: Dict, where: str) -> Dict:
         _check_keys(data, {"kind", "seed", "n", "d", "l2_penalty"},
                     ("kind", "seed", "n", "d"), where)
         _check_fields(data, "problem.", where)
+        limit = np.iinfo(np.intp).max // 8  # float64 values numpy can address
+        if data["n"] * data["d"] > limit:
+            raise SpecError("config.problem.size",
+                            f"n * d at {where} must be at most {limit}, the "
+                            f"float64 values an array can address (got "
+                            f"{data['n']} * {data['d']})")
     return dict(data)
 
 
@@ -499,12 +505,11 @@ def _in_bounds(loss: float) -> bool:
     return math.isfinite(loss) and loss <= DIVERGENCE_LOSS
 
 
-def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
-             eta: Optional[float] = None, gen_cfg: Optional[Dict] = None,
-             start_point=None, seed: int = 0, log_every: int = 1,
-             batch_size: Optional[int] = None) -> RunResult:
+def _execute(problem: Objective, direction_fn: Callable,
+             spec: ExperimentSpec) -> RunResult:
     t_begin = time.perf_counter()
-    start = start_point if start_point is not None else problem.default_start
+    start = (spec.start_point if spec.start_point is not None
+             else problem.default_start)
     if start is None:
         raise SpecError("config.start-point",
                         "problem has no default start; set start_point")
@@ -513,16 +518,16 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
     records: List[StepRecord] = []
     status = "ok"
     # an adaptive run has no rate until its first step resolves eta0
-    eta = math.nan if eta is None else float(eta)
+    eta = math.nan if spec.eta is None else float(spec.eta)
     ctrl: Optional[GenController] = None
     carried: Optional[Tuple[float, Array]] = None
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
-        for t in range(1, iterations + 1):
+        for t in range(1, spec.iterations + 1):
             # a step that blows up in its loss, gradient, direction, step or
             # post-step loss halts the run and records the values it reached
-            batch = _step_batch(seed, t, batch_size)
+            batch = _step_batch(spec.seed, t, spec.batch_size)
             if carried is not None:
                 loss, g = carried
             else:
@@ -536,21 +541,21 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                 grad_norm = norm(g)
                 d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
                 ok = all_finite(d)
-            if ok and gen_cfg is not None and ctrl is None:
+            if ok and spec.gen is not None and ctrl is None:
                 # first step: resolve the starting rate, then build state
                 try:
                     eta = (auto_search_eta0(problem, w, d, batch, l_zero=loss)
-                           if gen_cfg["eta0"] == "auto"
-                           else float(gen_cfg["eta0"]))
+                           if spec.gen["eta0"] == "auto"
+                           else float(spec.gen["eta0"]))
                 except NonFiniteError:  # every starting-rate probe blew up
                     ok = False
                 else:
                     ctrl = GenController(
-                        eta=eta, gamma=gen_cfg["gamma"], phi=gen_cfg["phi"],
-                        probe_points=gen_cfg["probe_points"],
-                        r2_threshold=gen_cfg["r2_threshold"],
-                        horizon=iterations if gen_cfg["decay"] else None,
-                        estimator=gen_cfg["estimator"])
+                        eta=eta, gamma=spec.gen["gamma"], phi=spec.gen["phi"],
+                        probe_points=spec.gen["probe_points"],
+                        r2_threshold=spec.gen["r2_threshold"],
+                        horizon=spec.iterations if spec.gen["decay"] else None,
+                        estimator=spec.gen["estimator"])
             if ok:
                 if ctrl is not None:
                     eta, estimate = gen_update(ctrl, problem, w, d, batch,
@@ -563,13 +568,13 @@ def _execute(problem: Objective, direction_fn: Callable, *, iterations: int,
                 ws.append(w.copy())
                 # on the full batch the post-step (loss, grad) is the next
                 # step's start
-                if batch_size is None and t < iterations:
+                if spec.batch_size is None and t < spec.iterations:
                     carried = problem.loss_grad(w, batch)
                     loss = float(carried[0])
                 else:
                     loss = float(problem.loss(w, batch))
                 ok = _in_bounds(loss)
-            if not ok or t % log_every == 0 or t == iterations:
+            if not ok or t % spec.log_every == 0 or t == spec.iterations:
                 records.append(StepRecord(t, loss, eta, grad_norm, *estimate))
             if not ok:
                 status = "diverged"
@@ -593,12 +598,20 @@ def require_eta_or_gen(spec: ExperimentSpec) -> None:
                         f"experiment {spec.name!r} needs either eta or gen")
 
 
-def require_grid_optimizer(optimizer: Dict) -> None:
-    """Grid search tunes a fixed rate, which a newton step does not take."""
-    if optimizer["kind"] not in ("sgd", "adamw"):
-        raise SpecError("config.grid.optimizer",
-                        "grid search tunes fixed-eta baselines; use an sgd "
-                        "or adamw optimizer")
+def require_grid_specs(specs: Sequence[ExperimentSpec]) -> None:
+    """Grid search tunes a fixed rate: no spec may carry gen settings, and
+    each optimizer must take a rate, which a newton step does not. The gen
+    check runs over every spec first."""
+    for spec in specs:
+        if spec.gen is not None:
+            raise SpecError("config.grid.gen-not-allowed",
+                            f"experiment {spec.name!r} has gen settings; "
+                            f"grid search tunes fixed-eta baselines")
+    for spec in specs:
+        if spec.optimizer["kind"] not in ("sgd", "adamw"):
+            raise SpecError("config.grid.optimizer",
+                            "grid search tunes fixed-eta baselines; use an "
+                            "sgd or adamw optimizer")
 
 
 def run_experiment(spec: ExperimentSpec) -> RunResult:
@@ -610,36 +623,24 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     spec = spec_from_dict(spec.to_dict(), where=spec.name)
     require_eta_or_gen(spec)
     problem = build_problem(spec.problem)
-    direction_fn = build_direction_fn(problem, spec.optimizer)
-    return _execute(problem, direction_fn, iterations=spec.iterations,
-                    eta=spec.eta, gen_cfg=spec.gen,
-                    start_point=spec.start_point,
-                    seed=spec.seed, log_every=spec.log_every,
-                    batch_size=spec.batch_size)
+    return _execute(problem, build_direction_fn(problem, spec.optimizer),
+                    spec)
 
 
 # ---------------------------------------------------------------------------
 # grid search and metrics
 
-def _as_problem(problem: Union[Objective, Dict]) -> Objective:
-    if isinstance(problem, Objective):
-        return problem
-    return build_problem(_validate_problem(dict(problem), "problem"))
-
-
-def grid_search_rows(problem: Union[Objective, Dict], optimizer: Dict,
-                     iterations: int, *, start_point=None, seed: int = 0,
-                     batch_size: Optional[int] = None) -> List[Dict]:
-    """Run every grid learning rate once; one row per rate, grid order."""
-    obj = _as_problem(problem)
-    optimizer = _validate_optimizer(dict(optimizer), "optimizer", obj.dim)
-    require_grid_optimizer(optimizer)
+def grid_search_rows(spec: ExperimentSpec) -> List[Dict]:
+    """Validate the spec as ``run_experiment`` does, then run it once per
+    ``LR_GRID`` rate in place of its own eta; one row per rate, grid order."""
+    spec = spec_from_dict(spec.to_dict(), where=spec.name)
+    require_grid_specs([spec])
+    problem = build_problem(spec.problem)
     rows = []
     for eta in LR_GRID:
-        direction_fn = build_direction_fn(obj, optimizer)
-        result = _execute(obj, direction_fn, iterations=iterations, eta=eta,
-                          start_point=start_point, seed=seed,
-                          log_every=iterations, batch_size=batch_size)
+        result = _execute(problem,
+                          build_direction_fn(problem, spec.optimizer),
+                          replace(spec, eta=eta, log_every=spec.iterations))
         rows.append({"eta": eta, "final_loss": result.final_loss,
                      "status": result.status})
     return rows

@@ -192,8 +192,9 @@ def test_c05_adaptive_matches_tuned_baselines():
     pairings = []
     for problem in ({"kind": "rosenbrock"}, {"kind": "beale"}):
         for opt_kind in ("sgd", "adamw"):
-            best = pick_best_row(grid_search_rows(
-                dict(problem), {"kind": opt_kind}, 1000))
+            best = pick_best_row(grid_search_rows(spec_from_dict({
+                "problem": dict(problem), "optimizer": {"kind": opt_kind},
+                "iterations": 1000})))
             tuned_eta, tuned_loss = best["eta"], best["final_loss"]
             adaptive_loss = _menu_best(problem, opt_kind, tuned_eta)
             pairings.append((f"{problem['kind']}/{opt_kind}",

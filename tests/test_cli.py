@@ -149,7 +149,7 @@ def test_run_seed_override_changes_stochastic_runs(tmp_path):
     assert a != b
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("command", ["run", "compare", "grid-search"])
 def test_command_builds_a_shared_dataset_once(tmp_path, monkeypatch,
                                               command):
     built = []
@@ -165,6 +165,8 @@ def test_command_builds_a_shared_dataset_once(tmp_path, monkeypatch,
               "batch_size": 16}
     exp = [dict(common, name="fixed", eta=0.05),
            dict(common, name="adaptive", gen={"eta0": 0.05})]
+    if command == "grid-search":  # two baselines, 18 runs each
+        exp[1] = dict(common, name="fixed2")
     cfg = _write_config(tmp_path, exp)
     assert main([command, "--config", cfg]) == 0
     assert built == [(3, 128, 3)]
@@ -232,8 +234,8 @@ def test_compare_parent_builds_no_logreg_dataset(tmp_path, monkeypatch,
 
     run_specs = genopt.cli._run_specs
 
-    def in_workers(specs, jobs):
-        results = run_specs(specs, jobs)
+    def in_workers(fn, specs, jobs):
+        results = run_specs(fn, specs, jobs)
         # what the workers built stays in the workers
         harness._logreg_dataset.cache_clear()
         built.clear()
@@ -274,6 +276,12 @@ def test_run_caps_workers(tmp_path, monkeypatch, pool_sizes, jobs, cpus,
     cfg = _write_config(tmp_path, experiments)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     assert main(["run", "--config", cfg, "--jobs", str(jobs)]) == 0
+    assert pool_sizes == expect
+    # grid-search maps its experiments the same way
+    del pool_sizes[:]
+    experiments[1] = dict(experiments[0], name="fixed3")
+    cfg = _write_config(tmp_path, experiments, name="grid.yaml")
+    assert main(["grid-search", "--config", cfg, "--jobs", str(jobs)]) == 0
     assert pool_sizes == expect
 
 
@@ -318,12 +326,22 @@ def test_negative_seed_is_rejected_before_any_work(
                      batch_size=16)
     cfg = _write_config(tmp_path, exps)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    jobs = "1" if command == "grid-search" else "2"
-    assert main([command, "--config", cfg, "--jobs", jobs,
+    assert main([command, "--config", cfg, "--jobs", "2",
                  "--seed", "-1"]) == 2
     assert _stderr_code(capsys) == "config.seed"
     assert not (tmp_path / "out").exists()
     assert pool_sizes == []
+
+
+@pytest.mark.parametrize("command", ["run", "grid-search"])
+def test_unaddressable_dataset_is_rejected_at_load(tmp_path, capsys, command):
+    exp = [{"name": "huge", "problem": {"kind": "logreg", "seed": 3,
+                                        "n": 10 ** 40, "d": 2},
+            "optimizer": {"kind": "sgd"}, "iterations": 5, "eta": 0.05}]
+    cfg = _write_config(tmp_path, exp)
+    assert main([command, "--config", cfg]) == 2
+    assert _stderr_code(capsys) == "config.problem.size"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "grid-search"])
@@ -565,21 +583,24 @@ def test_grid_search_vets_every_experiment_before_running_any(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-def test_grid_search_rejects_jobs_above_one(tmp_path, capsys):
-    # the 18 rates run serially; a worker count would be silently ignored
-    exp = [{
-        "name": "tune",
-        "problem": {"kind": "quadratic",
-                    "matrix_a": [[1.0, 0.0], [0.0, 1.0]]},
-        "optimizer": {"kind": "sgd"},
-        "iterations": 10,
-        "start_point": [1.0, 0.0],
-    }]
-    cfg = _write_config(tmp_path, exp)
-    assert main(["grid-search", "--config", cfg, "--jobs", "2"]) == 2
-    assert _stderr_code(capsys) == "cli.jobs"
-    assert not (tmp_path / "out").exists()
-    assert main(["grid-search", "--config", cfg, "--jobs", "1"]) == 0
+def test_grid_search_parallel_jobs_match_serial(tmp_path, monkeypatch,
+                                                capsys):
+    # a one-CPU machine would run --jobs 2 serially; this compares the pool
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    exps = [{"name": name, "problem": dict(QUAD), "optimizer": {"kind": kind},
+             "iterations": 10, "start_point": [1.0, 1.0]}
+            for name, kind in (("tune-sgd", "sgd"), ("tune-adamw", "adamw"))]
+    printed = []
+    for jobs in ("1", "2"):
+        cfg = _write_config(tmp_path, exps, name=f"j{jobs}.yaml",
+                            output_dir=str(tmp_path / jobs))
+        assert main(["grid-search", "--config", cfg, "--jobs", jobs]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].err == ""
+    for name in ("tune-sgd.grid.csv", "tune-adamw.grid.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
 
 
 def test_grid_search_all_diverged_is_runtime_error(tmp_path, capsys):

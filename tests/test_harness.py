@@ -323,6 +323,10 @@ def _outcome(data):
     return None, None
 
 
+# a logreg dataset of n * d float64 values must be addressable (64-bit)
+_SIZE = ("n * d at experiment.problem must be at most 1152921504606846975, "
+         "the float64 values an array can address ")
+
 # (section, key, value, code, message) for null, a string that YAML 1.1
 # reads from 1e-5, a boolean, an integer past the float range and an
 # out-of-range number; a code of None means the experiment is accepted
@@ -342,7 +346,8 @@ _FIELD_GOLDEN = [
      "n at experiment.problem must be an integer >= 2"),
     ("problem", "n", True, "config.problem.n",
      "n at experiment.problem must be an integer >= 2"),
-    ("problem", "n", 10 ** 400, None, None),
+    ("problem", "n", 10 ** 400, "config.problem.size",
+     _SIZE + f"(got {10 ** 400} * 2)"),
     ("problem", "n", 1, "config.problem.n",
      "n at experiment.problem must be an integer >= 2"),
     ("problem", "d", None, "config.problem.d",
@@ -351,7 +356,8 @@ _FIELD_GOLDEN = [
      "d at experiment.problem must be an integer >= 1"),
     ("problem", "d", True, "config.problem.d",
      "d at experiment.problem must be an integer >= 1"),
-    ("problem", "d", 10 ** 400, None, None),
+    ("problem", "d", 10 ** 400, "config.problem.size",
+     _SIZE + f"(got 50 * {10 ** 400})"),
     ("problem", "d", 0, "config.problem.d",
      "d at experiment.problem must be an integer >= 1"),
     ("problem", "l2_penalty", None, "config.problem.l2",
@@ -734,6 +740,12 @@ _SITE_GOLDEN = [
     ("eta-and-gen-before-batch-size", {"batch_size": 0, "gen": {}},
      "config.eta-and-gen",
      "experiment sets both a fixed eta and gen settings; pick one"),
+    ("logreg-n-past-the-address-space",
+     {"problem": dict(_LOGREG, n=10 ** 40)},
+     "config.problem.size",
+     _SIZE + "(got 10000000000000000000000000000000000000000 * 2)"),
+    ("logreg-at-the-address-space",
+     {"problem": dict(_LOGREG, n=2 ** 60 - 1, d=1)}, None, None),
 ]
 
 
@@ -1057,10 +1069,9 @@ def test_each_stop_records_the_step_that_blew_up(mode, stop):
     if mode == "fixed":
         drive = {"eta": 1.0}
     else:
-        drive = {"gen_cfg": spec_from_dict(_minimal(
-            eta=None, gen={"eta0": 1.0, "gamma": 0.0, "phi": 2})).gen}
-    result = harness._execute(_ScaledSlice(losses), direction_fn,
-                              iterations=3, **drive)
+        drive = {"eta": None, "gen": {"eta0": 1.0, "gamma": 0.0, "phi": 2}}
+    spec = spec_from_dict(_minimal(iterations=3, **drive))
+    result = harness._execute(_ScaledSlice(losses), direction_fn, spec)
     assert result.status == "diverged"
     assert len(result.records) == expect[mode][0]
     # repr spells nan, inf and None exactly
@@ -1283,17 +1294,17 @@ def test_lr_grid_shape():
 def test_grid_search_finds_exact_rate_on_identity():
     # on L = 0.5 ||w||^2 plain SGD with eta = 1 lands exactly on the
     # minimizer, so the grid winner must be 1
-    best = pick_best_row(grid_search_rows(
-        {"kind": "quadratic", "matrix_a": [[1.0, 0.0], [0.0, 1.0]]},
-        {"kind": "sgd"}, iterations=10, start_point=[1.0, 0.0]))
+    best = pick_best_row(grid_search_rows(spec_from_dict(_minimal(
+        problem={"kind": "quadratic", "matrix_a": [[1.0, 0.0], [0.0, 1.0]]},
+        iterations=10, start_point=[1.0, 0.0]))))
     assert best["eta"] == 1.0
     assert best["final_loss"] == 0.0
 
 
 def test_grid_search_rows_cover_grid_in_order():
-    rows = grid_search_rows({"kind": "quadratic", "matrix_a": [[1.0]]},
-                            {"kind": "sgd"}, iterations=30,
-                            start_point=[1.0])
+    rows = grid_search_rows(spec_from_dict(_minimal(
+        problem={"kind": "quadratic", "matrix_a": [[1.0]]}, iterations=30,
+        start_point=[1.0])))
     assert [r["eta"] for r in rows] == list(LR_GRID)
     assert all(set(r) == {"eta", "final_loss", "status"} for r in rows)
     # large rates overshoot and diverge on this problem, small ones crawl
@@ -1303,8 +1314,8 @@ def test_grid_search_rows_cover_grid_in_order():
 
 def test_grid_search_all_diverged():
     stiff = {"kind": "quadratic", "matrix_a": [[1e15]]}
-    rows = grid_search_rows(stiff, {"kind": "sgd"}, iterations=50,
-                            start_point=[1.0])
+    rows = grid_search_rows(spec_from_dict(_minimal(
+        problem=stiff, iterations=50, start_point=[1.0])))
     assert len(rows) == 18
     assert all(r["status"] == "diverged" for r in rows)
     assert pick_best_row(rows) is None
@@ -1312,8 +1323,17 @@ def test_grid_search_all_diverged():
 
 def test_grid_search_rejects_gen_style_optimizers():
     with pytest.raises(SpecError) as e:
-        grid_search_rows(ROSEN, {"kind": "newton"}, iterations=2)
+        grid_search_rows(spec_from_dict(_minimal(optimizer={"kind": "newton"},
+                                                 iterations=2)))
     assert _code(e) == "config.grid.optimizer"
+
+
+def test_grid_search_rejects_a_spec_with_gen_settings():
+    # a grid rate would otherwise be overridden by the controller's
+    spec = spec_from_dict(_minimal(eta=None, gen={"eta0": 0.1}))
+    with pytest.raises(SpecError) as e:
+        grid_search_rows(spec)
+    assert _code(e) == "config.grid.gen-not-allowed"
 
 
 def test_pick_best_row_tie_goes_to_earlier():

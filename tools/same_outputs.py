@@ -3,9 +3,12 @@ with two source trees, each into a temporary directory, and compare every
 CSV byte for byte (summary.csv without wall_time_s), the exit codes,
 stdout and stderr (each tree's temporary directory replaced by a fixed
 token) and whether the command left its output directory. Then run
-`genopt run` on a fixed set of invalid configs, written to the same
-temporary directory, and compare the same facts, so that a change to any
-config error's code or message shows. Exits 1 on any difference. Also
+`genopt run` and `genopt grid-search` on a fixed set of invalid configs,
+written to the same temporary directory, and compare the same facts, so
+that a change to any config error's code or message, on either command's
+validation path, shows. A config that one command accepts (a newton or
+gen experiment under `run`, one without a rate under `grid-search`) runs
+and is compared like any other. Exits 1 on any difference. Also
 prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
     python tools/same_outputs.py OLD/src NEW/src
@@ -33,9 +36,7 @@ EXPERIMENT = {"name": "bad", "problem": LOGREG, "optimizer": {"kind": "sgd"},
 # checked field, then the key, kind and cross-field errors. Left out on
 # purpose: several missing required keys (the key named first depended on
 # the hash seed before it followed the declared order), decay with the
-# hvp estimator (an error before it was allowed) and a newton optimizer
-# under grid-search (rejected after the output directory existed before
-# the check moved ahead of it).
+# hvp estimator (an error before it was allowed).
 BAD_EXPERIMENTS = {
     "problem.seed": {"problem": dict(LOGREG, seed=-1)},
     "problem.n": {"problem": dict(LOGREG, n=1)},
@@ -82,11 +83,14 @@ BAD_EXPERIMENTS = {
     "batch-size.not-stochastic": {"problem": {"kind": "rosenbrock"},
                                   "batch_size": 8},
     "batch-size.too-large": {"batch_size": 51},
+    "grid.gen-not-allowed": {"eta": None, "gen": {}},
+    "grid.optimizer": {"optimizer": {"kind": "newton"}},
 }
 
 
 def invalid_configs():
-    """Name -> config mapping, for every config that `run` must reject."""
+    """Name -> config mapping, for every config that `run` or
+    `grid-search` must reject."""
     root = {"format_version": 1, "output_dir": "out"}
     configs = {
         name: dict(root, experiments=[dict(EXPERIMENT, **over)])
@@ -119,7 +123,7 @@ def outputs(src, tmp):
         path = Path(tmp, "invalid", f"{name}.yaml")
         path.parent.mkdir(exist_ok=True)
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
-        cases.append(("run", path))
+        cases += [("run", path), ("grid-search", path)]
     got = {}
     for cmd, cfg in cases:
         out = Path(tmp, cmd, cfg.stem)
