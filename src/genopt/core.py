@@ -104,6 +104,11 @@ class Objective:
     ``loss`` and ``grad`` must be deterministic functions of ``(w, batch)``.
     ``loss_grad`` returns both from one evaluation; the default calls
     ``loss`` then ``grad``, and an override must return the same bits.
+    ``loss_grad_rows`` evaluates a (K, dim) block of parameter rows at
+    once: row k of its losses and gradients carries the bits of
+    ``loss_grad(ws[k], batch)``, and without ``grad`` its losses carry
+    those of ``loss``. The default loops ``loss_grad`` (or ``loss``) over
+    the rows; an override must return the same bits.
     No evaluation changes a later result, so implementations are safe for
     concurrent evaluation; a cache (the logistic problem keeps its last
     mini-batch) is allowed on that condition. ``batch`` is ignored by
@@ -124,6 +129,14 @@ class Objective:
     def loss_grad(self, w: Array, batch: BatchSelector = FULL_DATA
                   ) -> Tuple[float, Array]:
         return float(self.loss(w, batch)), self.grad(w, batch)
+
+    def loss_grad_rows(self, ws: Array, batch: BatchSelector = FULL_DATA,
+                       grad: bool = True) -> Tuple[Array, Optional[Array]]:
+        if not grad:
+            return np.array([float(self.loss(w, batch)) for w in ws]), None
+        pairs = [self.loss_grad(w, batch) for w in ws]
+        return (np.array([float(loss) for loss, _ in pairs]),
+                np.array([g for _, g in pairs], dtype=np.float64))
 
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         raise NotImplementedError("objective has no exact hessian")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -457,26 +457,28 @@ def _build_post_processor(data: Optional[Dict]):
     return Mask(data["mask"])
 
 
+def _first_order(optimizer: Dict, dim: int, rows: Optional[int] = None):
+    # (state, rule) of an sgd or adamw optimizer mapping
+    if optimizer["kind"] == "sgd":
+        return SgdState(dim, momentum=optimizer.get("momentum", 0.0),
+                        weight_decay=optimizer.get("weight_decay", 0.0),
+                        rows=rows), sgd_direction
+    return AdamWState(dim, beta1=optimizer.get("beta1", 0.9),
+                      beta2=optimizer.get("beta2", 0.999),
+                      epsilon=optimizer.get("epsilon", 1e-8),
+                      weight_decay=optimizer.get("weight_decay", 0.0),
+                      rows=rows), adamw_direction
+
+
 def build_direction_fn(problem: Objective, optimizer: Dict) -> Callable:
     """Return a stateful (raw_grad, w, batch) -> direction callable."""
     kind = optimizer["kind"]
     pp = _build_post_processor(optimizer.get("post_process"))
-    if kind == "sgd":
-        state = SgdState(problem.dim,
-                         momentum=optimizer.get("momentum", 0.0),
-                         weight_decay=optimizer.get("weight_decay", 0.0))
+    if kind in ("sgd", "adamw"):
+        state, rule = _first_order(optimizer, problem.dim)
 
         def raw(g, w, batch):
-            return sgd_direction(state, g, w)
-    elif kind == "adamw":
-        state = AdamWState(problem.dim,
-                           beta1=optimizer.get("beta1", 0.9),
-                           beta2=optimizer.get("beta2", 0.999),
-                           epsilon=optimizer.get("epsilon", 1e-8),
-                           weight_decay=optimizer.get("weight_decay", 0.0))
-
-        def raw(g, w, batch):
-            return adamw_direction(state, g, w)
+            return rule(state, g, w)
     elif kind == "newton":
         def raw(g, w, batch):
             try:
@@ -505,15 +507,24 @@ def _in_bounds(loss: float) -> bool:
     return math.isfinite(loss) and loss <= DIVERGENCE_LOSS
 
 
+def _lanes_ok(losses: Array, g: Optional[Array] = None) -> Array:
+    # _in_bounds on each loss and, given gradient rows, all_finite on each
+    ok = np.isfinite(losses) & (losses <= DIVERGENCE_LOSS)
+    if g is not None:
+        ok &= np.isfinite(g).all(axis=1)
+    return ok
+
+
+def _start(problem: Objective, spec: ExperimentSpec) -> Array:
+    start = (spec.start_point if spec.start_point is not None
+             else problem.default_start)
+    return as_param_vector(start, dim=problem.dim)
+
+
 def _execute(problem: Objective, direction_fn: Callable,
              spec: ExperimentSpec) -> RunResult:
     t_begin = time.perf_counter()
-    start = (spec.start_point if spec.start_point is not None
-             else problem.default_start)
-    if start is None:
-        raise SpecError("config.start-point",
-                        "problem has no default start; set start_point")
-    w = as_param_vector(start, dim=problem.dim)
+    w = _start(problem, spec)
     ws = [w.copy()]
     records: List[StepRecord] = []
     status = "ok"
@@ -631,19 +642,91 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
 # grid search and metrics
 
 def grid_search_rows(spec: ExperimentSpec) -> List[Dict]:
-    """Validate the spec as ``run_experiment`` does, then run it once per
-    ``LR_GRID`` rate in place of its own eta; one row per rate, grid order."""
+    """Validate the spec as ``run_experiment`` does, then run it at every
+    ``LR_GRID`` rate in place of its own eta, the rates in lockstep; one
+    row per rate, grid order, each the row a separate run at its rate
+    gives."""
     spec = spec_from_dict(spec.to_dict(), where=spec.name)
     require_grid_specs([spec])
-    problem = build_problem(spec.problem)
-    rows = []
-    for eta in LR_GRID:
-        result = _execute(problem,
-                          build_direction_fn(problem, spec.optimizer),
-                          replace(spec, eta=eta, log_every=spec.iterations))
-        rows.append({"eta": eta, "final_loss": result.final_loss,
-                     "status": result.status})
-    return rows
+    return [{"eta": eta, "final_loss": loss, "status": status}
+            for eta, (loss, status)
+            in zip(LR_GRID, _grid_lanes(build_problem(spec.problem), spec))]
+
+
+def _grid_lanes(problem: Objective, spec: ExperimentSpec
+                ) -> List[Tuple[float, str]]:
+    """(final_loss, status) of ``spec`` at each ``LR_GRID`` rate.
+
+    Lane k is the run at rate k. The live lanes step as one (K, dim)
+    block: per step one batch, one row-block evaluation and one direction
+    update, then one ``apply_step`` per lane. A lane that blows up in its
+    loss, gradient, direction, step or post-step loss leaves the block
+    with the loss ``_execute`` records at that stop, so each rate's pair
+    has the bits of a separate ``_execute`` run at that rate.
+    """
+    lanes = list(range(len(LR_GRID)))  # the rate index of each block row
+    w = np.tile(_start(problem, spec), (len(lanes), 1))
+    state, rule = _first_order(spec.optimizer, problem.dim, rows=len(lanes))
+    pp = _build_post_processor(spec.optimizer.get("post_process"))
+    out = [(math.nan, "ok")] * len(lanes)
+    carried: Optional[Tuple[Array, ...]] = None
+
+    def drop(ok: Array, losses: Array, *rows: Array) -> Tuple[Array, ...]:
+        # the lanes failing ``ok`` leave as diverged at their ``losses``;
+        # returns the rows of each of ``rows`` that go on
+        nonlocal lanes, w
+        if np.count_nonzero(ok) == len(lanes):
+            return rows
+        for i in np.flatnonzero(~ok):
+            out[lanes[i]] = (float(losses[i]), "diverged")
+        keep = np.flatnonzero(ok)
+        lanes = [lanes[i] for i in keep]
+        w = w[keep]
+        state.keep(keep)
+        return tuple(a[keep] for a in rows)
+
+    with np.errstate(over="ignore", invalid="ignore", under="ignore",
+                     divide="ignore"):
+        for t in range(1, spec.iterations + 1):
+            batch = _step_batch(spec.seed, t, spec.batch_size)
+            if carried is None:
+                losses, g = problem.loss_grad_rows(w, batch)
+                losses, g = drop(_lanes_ok(losses, g), losses, losses, g)
+            else:  # checked when it was evaluated
+                losses, g = carried
+            if not lanes:
+                break
+            d = rule(state, g, w)
+            if pp is not None:
+                d = post_process(pp, d)
+            # a non-finite direction row gives a non-finite step, so
+            # apply_step stops a lane whose direction or step blows up,
+            # both at the step's loss as in _execute
+            ok = np.ones(len(lanes), dtype=bool)
+            for i, k in enumerate(lanes):
+                try:
+                    w[i] = apply_step(w[i], LR_GRID[k], d[i])
+                except NonFiniteError:
+                    ok[i] = False
+            drop(ok, losses)
+            if not lanes:
+                break
+            # on the full batch the post-step (loss, grad) is the next
+            # step's start, so its gradient is checked here: a lane it
+            # stops records the same loss at the next step in _execute
+            if spec.batch_size is None and t < spec.iterations:
+                losses, g = problem.loss_grad_rows(w, batch)
+                carried = drop(_lanes_ok(losses, g), losses, losses, g)
+                losses = carried[0]
+            else:
+                carried = None
+                losses = problem.loss_grad_rows(w, batch, grad=False)[0]
+                losses, = drop(_lanes_ok(losses), losses, losses)
+            if not lanes:
+                break
+    for i, k in enumerate(lanes):
+        out[k] = (float(losses[i]), "ok")
+    return out
 
 
 def pick_best_row(rows: List[Dict]) -> Optional[Dict]:

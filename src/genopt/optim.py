@@ -4,13 +4,18 @@ Each rule maps a raw gradient to an update direction; the caller owns the
 learning rate and applies ``w - eta * direction``. Keeping the direction
 separate from the step size is what lets a single scalar line search serve
 every optimizer here.
+
+A state built with ``rows`` holds K independent runs of one rule: its
+buffers, gradients and parameters are (K, dim) blocks, one row per run,
+and every rule is elementwise (clipping is per row), so row k carries the
+bits the same rule gives run k on its own vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,6 +35,7 @@ class SgdState:
     dim: int
     momentum: float = 0.0
     weight_decay: float = 0.0
+    rows: Optional[int] = None
     velocity: Array = field(init=False)
 
     def __post_init__(self):
@@ -39,7 +45,12 @@ class SgdState:
             raise ValueError("momentum must be in [0, 1)")
         if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
-        self.velocity = np.zeros(self.dim)
+        self.velocity = np.zeros(_shape(self))
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows of a block state."""
+        self.velocity = self.velocity[rows]
+        self.rows = len(self.velocity)
 
 
 @dataclass
@@ -51,6 +62,7 @@ class AdamWState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
+    rows: Optional[int] = None
     step_count: int = field(default=0, init=False)
     m: Array = field(init=False)
     v: Array = field(init=False)
@@ -66,8 +78,28 @@ class AdamWState:
             raise ValueError("epsilon must be > 0")
         if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
-        self.m = np.zeros(self.dim)
-        self.v = np.zeros(self.dim)
+        self.m = np.zeros(_shape(self))
+        self.v = np.zeros(_shape(self))
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows of a block state."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self.rows = len(self.m)
+
+
+def _shape(state):
+    # a state's buffer shape: one vector, or a (rows, dim) block
+    return state.dim if state.rows is None else (state.rows, state.dim)
+
+
+def _block(state, values, what: str) -> Array:
+    # a block state's operand: the checks of as_param_vector on every row
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (state.rows, state.dim):
+        raise DimensionMismatchError(
+            f"expected a {what} block of shape {(state.rows, state.dim)}, "
+            f"got {arr.shape}")
+    return check_finite(arr, f"{what} block")
 
 
 def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
@@ -76,8 +108,12 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
     Mutates ``state.velocity`` in place; the returned array is a copy, so
     callers may scale it freely.
     """
-    g = as_param_vector(raw_grad, dim=state.dim)
-    w = as_param_vector(w, dim=state.dim)
+    if state.rows is None:
+        g = as_param_vector(raw_grad, dim=state.dim)
+        w = as_param_vector(w, dim=state.dim)
+    else:
+        g = _block(state, raw_grad, "gradient")
+        w = _block(state, w, "parameter")
     effective = g + state.weight_decay * w
     state.velocity *= state.momentum
     state.velocity += effective
@@ -86,8 +122,12 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
 
 def adamw_direction(state: AdamWState, raw_grad: Array, w: Array) -> Array:
     """One Adam moment update with bias correction, decay applied to w directly."""
-    g = as_param_vector(raw_grad, dim=state.dim)
-    w = as_param_vector(w, dim=state.dim)
+    if state.rows is None:
+        g = as_param_vector(raw_grad, dim=state.dim)
+        w = as_param_vector(w, dim=state.dim)
+    else:
+        g = _block(state, raw_grad, "gradient")
+        w = _block(state, w, "parameter")
     state.step_count += 1
     t = state.step_count
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
@@ -136,21 +176,25 @@ PostProcessor = Union[Identity, SignSgd, ClipToNorm, Mask]
 
 
 def post_process(pp: PostProcessor, g: Array) -> Array:
-    """Apply a direction transform. sign(0) is 0; clipping a zero vector
-    returns it unchanged rather than dividing by its norm."""
+    """Apply a direction transform to a vector or to each row of a block.
+    sign(0) is 0; clipping a zero vector returns it unchanged rather than
+    dividing by its norm."""
     g = np.asarray(g, dtype=np.float64)
     if isinstance(pp, Identity):
         return g.copy()
     if isinstance(pp, SignSgd):
         return np.sign(g)
     if isinstance(pp, ClipToNorm):
+        if g.ndim == 2:
+            return np.array([post_process(pp, row) for row in g]
+                            ).reshape(g.shape)
         g_norm = norm(g)
         if g_norm == 0.0:
             return g.copy()
         return g * min(pp.max_norm / g_norm, 1.0)
     if isinstance(pp, Mask):
         m = np.asarray(pp.mask)
-        if m.shape != g.shape:
+        if m.shape != g.shape[-1:]:
             raise DimensionMismatchError(
                 f"mask has shape {m.shape}, direction has shape {g.shape}"
             )

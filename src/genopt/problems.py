@@ -42,6 +42,19 @@ class RosenbrockProblem(Objective):
         g1, g2 = kernels.rosenbrock_grad(x1, x2)
         return np.array([g1, g2])
 
+    def loss_grad(self, w: Array, batch: BatchSelector = FULL_DATA):
+        x1, x2 = _unpack2(w)
+        return _surface_loss_grad(kernels.rosenbrock_loss,
+                                  kernels.rosenbrock_grad, x1, x2)
+
+    def loss_grad_rows(self, ws: Array, batch: BatchSelector = FULL_DATA,
+                       grad: bool = True):
+        x1, x2 = _columns2(ws)
+        if not grad:
+            return kernels.rosenbrock_loss(x1, x2), None
+        return _surface_loss_grad(kernels.rosenbrock_loss,
+                                  kernels.rosenbrock_grad, x1, x2)
+
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x1, x2 = _unpack2(w)
         h11, h12, h22 = kernels.rosenbrock_hess(x1, x2)
@@ -65,6 +78,19 @@ class BealeProblem(Objective):
         x1, x2 = _unpack2(w)
         g1, g2 = kernels.beale_grad(x1, x2)
         return np.array([g1, g2])
+
+    def loss_grad(self, w: Array, batch: BatchSelector = FULL_DATA):
+        x1, x2 = _unpack2(w)
+        return _surface_loss_grad(kernels.beale_loss,
+                                  kernels.beale_grad, x1, x2)
+
+    def loss_grad_rows(self, ws: Array, batch: BatchSelector = FULL_DATA,
+                       grad: bool = True):
+        x1, x2 = _columns2(ws)
+        if not grad:
+            return kernels.beale_loss(x1, x2), None
+        return _surface_loss_grad(kernels.beale_loss,
+                                  kernels.beale_grad, x1, x2)
 
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x1, x2 = _unpack2(w)
@@ -192,6 +218,22 @@ def _unpack2(w) -> Tuple[float, float]:
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-D parameter vector, got shape {arr.shape}")
     return float(arr[0]), float(arr[1])
+
+
+def _columns2(ws) -> Tuple[Array, Array]:
+    arr = np.asarray(ws, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected a block of 2-D parameter rows, got shape "
+                         f"{arr.shape}")
+    return arr[:, 0], arr[:, 1]
+
+
+def _surface_loss_grad(loss, grad, x1, x2):
+    # one evaluation of a 2-D surface's kernels, on a vector's two entries
+    # (floats) or a block's two columns; the kernels use only + - *, so
+    # each column entry carries the bits of the float evaluation
+    g1, g2 = grad(x1, x2)
+    return loss(x1, x2), np.array([g1, g2]).T
 
 
 def generate_dataset(seed: int, n: int, d: int,

@@ -5,6 +5,7 @@ batch-noise study."""
 import dataclasses
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1346,6 +1347,201 @@ def test_pick_best_row_tie_goes_to_earlier():
     assert pick_best_row(rows)["eta"] == 0.2
     assert pick_best_row([{"eta": 1.0, "final_loss": 1.0,
                            "status": "diverged"}]) is None
+
+
+# ---------------------------------------------------------------------------
+# grid lanes: the rates of a grid step in lockstep, pinned bit for bit to
+# one _execute run per rate
+
+
+GRID_CONFIG = Path(__file__).resolve().parents[1] / "configs" / \
+    "grid_baselines.yaml"
+
+
+def _per_rate_rows(problem, spec):
+    # the grid as separate runs, one _execute per rate; repr spells every
+    # float exactly, nan and inf included
+    rows = []
+    for eta in LR_GRID:
+        result = harness._execute(
+            problem, harness.build_direction_fn(problem, spec.optimizer),
+            dataclasses.replace(spec, eta=eta, log_every=spec.iterations))
+        rows.append((eta, repr(result.final_loss), result.status))
+    return rows
+
+
+def _lane_rows(problem, spec):
+    return [(eta, repr(loss), status) for eta, (loss, status)
+            in zip(LR_GRID, harness._grid_lanes(problem, spec))]
+
+
+LOGREG = {"kind": "logreg", "seed": 1, "n": 200, "d": 3}
+
+
+def _shape(**over):
+    return _minimal(**dict({"iterations": 200}, **over))
+
+
+# one spec per option shape a grid can take
+_GRID_SHAPES = {
+    "momentum-decay": _shape(optimizer={"kind": "sgd", "momentum": 0.9,
+                                        "weight_decay": 0.01}),
+    "adamw-betas": _shape(problem={"kind": "beale"}, optimizer={
+        "kind": "adamw", "beta1": 0.5, "beta2": 0.9, "epsilon": 1e-6,
+        "weight_decay": 0.1}),
+    "clip": _shape(optimizer={"kind": "sgd", "post_process": {
+        "kind": "clip", "max_norm": 3.0}}),
+    "sign": _shape(problem={"kind": "beale"}, optimizer={
+        "kind": "adamw", "post_process": {"kind": "sign"}}),
+    "mask": _shape(optimizer={"kind": "sgd", "post_process": {
+        "kind": "mask", "mask": [1, 0]}}),
+    "start-point": _shape(problem={"kind": "beale"}, start_point=[1.0, 1.0]),
+    "quadratic": _shape(problem={
+        "kind": "quadratic", "matrix_a": [[3.0, 1.0, 0.0], [1.0, 2.0, 0.0],
+                                          [0.0, 0.0, 1.0]],
+        "offset": [1.0, 2.0, 3.0]}, optimizer={"kind": "sgd",
+                                               "momentum": 0.5}),
+    "logreg-full": _shape(problem=dict(LOGREG, l2_penalty=0.01),
+                          optimizer={"kind": "adamw"}, iterations=40),
+    "logreg-minibatch": _shape(problem=LOGREG, optimizer={
+        "kind": "sgd", "momentum": 0.9}, iterations=40, batch_size=16,
+        seed=3),
+}
+
+
+def _grid_cases():
+    config = yaml.safe_load(GRID_CONFIG.read_text(encoding="utf-8"))
+    return ([pytest.param(e, id=e["name"]) for e in config["experiments"]]
+            + [pytest.param(d, id=k) for k, d in _GRID_SHAPES.items()])
+
+
+@pytest.mark.parametrize("data", _grid_cases())
+def test_grid_rows_match_one_run_per_rate(data):
+    spec = spec_from_dict(data)
+    rows = [(r["eta"], repr(r["final_loss"]), r["status"])
+            for r in grid_search_rows(spec)]
+    assert rows == _per_rate_rows(build_problem(spec.problem), spec)
+
+
+class _Blowup(Objective):
+    """0.5 * (w - 100)^2 with a scripted blow-up where the rate-2 lane
+    lands after its first plain SGD step (w = 200, the only iterate of any
+    grid rate in (150, 250)).
+
+    Rates below 1 creep towards 100, rate 1 lands on it and rate 5
+    oscillates until its post-step loss passes DIVERGENCE_LOSS. ``mode``
+    picks what the band returns: an infinite loss from ``loss_grad``, a
+    NaN gradient, a gradient whose step overflows, or a loss past
+    DIVERGENCE_LOSS from both evaluations.
+    """
+
+    dim = 1
+    default_start = np.array([0.0])
+
+    def __init__(self, mode):
+        self.mode = mode
+
+    def loss(self, w, batch=FULL_DATA):
+        if self.mode == "post" and 150.0 < w[0] < 250.0:
+            return 2e12
+        return 0.5 * (w[0] - 100.0) ** 2
+
+    def loss_grad(self, w, batch=FULL_DATA):
+        loss, g = self.loss(w, batch), np.array([w[0] - 100.0])
+        if 150.0 < w[0] < 250.0:
+            if self.mode == "loss":
+                loss = math.inf
+            elif self.mode == "grad":
+                g = np.array([math.nan])
+            elif self.mode == "step":
+                g = np.array([-1e308])
+        return loss, g
+
+
+# stop -> (objective mode, optimizer, the rate-2 lane's final loss, or
+# None for the loss it opened its last step with). A huge weight decay
+# makes the step-2 direction of the rates that moved far enough overflow:
+# rate 2 moves to 200 under SGD, to about 2 under AdamW
+_LANE_STOPS = {
+    "loss": ("loss", {"kind": "sgd"}, math.inf),
+    "grad": ("grad", {"kind": "sgd"}, 5000.0),
+    "direction": (None, {"kind": "sgd", "weight_decay": 1e306}, 5000.0),
+    "adamw-direction": (None, {"kind": "adamw", "weight_decay": 1e308},
+                        None),
+    "step": ("step", {"kind": "sgd"}, 5000.0),
+    "post": ("post", {"kind": "sgd"}, 2e12),
+}
+
+
+@pytest.mark.parametrize("batch_size", [None, 4])
+@pytest.mark.parametrize("stop", list(_LANE_STOPS))
+def test_lane_stops_match_one_run_per_rate(stop, batch_size):
+    # on the full batch the post-step evaluation opens the next step; on a
+    # mini-batch each step opens with a fresh loss_grad
+    mode, optimizer, loss = _LANE_STOPS[stop]
+    spec = spec_from_dict(_minimal(problem=LOGREG, optimizer=optimizer,
+                                   iterations=12, batch_size=batch_size))
+    problem = _Blowup(mode)
+    rows = _lane_rows(problem, spec)
+    assert rows == _per_rate_rows(problem, spec)
+    eta, final, status = rows[LR_GRID.index(2.0)]
+    assert status == "diverged" and rows[-1][2] == "diverged"
+    if loss is None:  # it stopped before stepping: a finite, in-bounds loss
+        assert float(final) < DIVERGENCE_LOSS
+    else:
+        assert final == repr(loss)
+
+
+@pytest.fixture
+def apply_steps(monkeypatch):
+    """Counts the harness's successful apply_step calls."""
+    count = [0]
+    real = harness.apply_step
+
+    def counting(*args):
+        out = real(*args)
+        count[0] += 1
+        return out
+
+    monkeypatch.setattr(harness, "apply_step", counting)
+    return count
+
+
+@pytest.mark.parametrize("problem, data", [
+    (None, _minimal(iterations=300)),
+    (None, _minimal(problem={"kind": "beale"}, optimizer={
+        "kind": "adamw", "post_process": {"kind": "sign"}}, iterations=300)),
+    (_Blowup("step"), _minimal(problem=LOGREG, iterations=12)),
+    (_Blowup(None), _minimal(problem=LOGREG, iterations=12, optimizer={
+        "kind": "sgd", "weight_decay": 1e306})),
+], ids=["rosenbrock-sgd", "beale-adamw-sign", "step-stop", "direction-stop"])
+def test_grid_takes_the_per_rate_steps(apply_steps, problem, data):
+    spec = spec_from_dict(data)
+    problem = problem or build_problem(spec.problem)
+    harness._grid_lanes(problem, spec)
+    lanes = apply_steps[0]
+    apply_steps[0] = 0
+    _per_rate_rows(problem, spec)
+    assert lanes == apply_steps[0]
+
+
+def test_minibatch_grid_draws_each_batch_once_per_step(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    n = 10
+    rows = grid_search_rows(spec_from_dict(_minimal(
+        problem={"kind": "logreg", "seed": 3, "n": 128, "d": 3},
+        iterations=n, batch_size=16)))
+    assert all(r["status"] == "ok" for r in rows)
+    # one draw builds the dataset, then one per step for all 18 rates
+    assert seeds[0] == 3 and len(seeds) == n + 1
+    assert len(set(seeds[1:])) == n
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,65 @@ def test_direction_shape_checks():
         adamw_direction(AdamWState(dim=2), np.zeros(3), np.zeros(3))
 
 
+# ---------------------------------------------------------------------------
+# blocks: K runs of one rule as (K, dim) rows, each with a run's own bits
+
+
+@pytest.mark.parametrize("make, rule", [
+    (lambda rows: SgdState(3, momentum=0.9, weight_decay=0.01, rows=rows),
+     sgd_direction),
+    (lambda rows: AdamWState(3, beta1=0.5, beta2=0.9, epsilon=1e-6,
+                             weight_decay=0.1, rows=rows), adamw_direction),
+])
+@pytest.mark.parametrize("pp", [None, Identity(), SignSgd(),
+                                ClipToNorm(max_norm=0.7), Mask([1, 0, 1])])
+def test_block_rows_match_separate_runs(make, rule, pp):
+    rng = np.random.default_rng(6)
+    k, steps = 5, 6
+    gs = rng.standard_normal((steps, k, 3)) * np.array([1e-3, 1.0, 1e3])
+    gs[:, 0] = 0.0  # a zero row clips to itself
+    ws = rng.standard_normal((steps, k, 3))
+    block, runs = make(k), [make(None) for _ in range(k)]
+    for g, w in zip(gs, ws):
+        d = rule(block, g, w)
+        if pp is not None:
+            d = post_process(pp, d)
+        for i, run in enumerate(runs):
+            want = rule(run, g[i], w[i])
+            if pp is not None:
+                want = post_process(pp, want)
+            assert d[i].tobytes() == want.tobytes()
+
+
+def test_block_keep_drops_rows():
+    s, a = SgdState(2, momentum=0.5, rows=4), AdamWState(2, rows=4)
+    g = np.arange(8.0).reshape(4, 2)
+    sgd_direction(s, g, np.zeros((4, 2)))
+    adamw_direction(a, g, np.zeros((4, 2)))
+    for state in (s, a):
+        state.keep(np.array([0, 2]))
+        assert state.rows == 2
+    np.testing.assert_array_equal(s.velocity, g[[0, 2]])
+    assert a.m.shape == a.v.shape == (2, 2)
+    d = sgd_direction(s, np.ones((2, 2)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(d, 0.5 * g[[0, 2]] + 1.0)
+
+
+def test_block_shape_and_finite_checks():
+    for state, rule in ((SgdState(2, rows=3), sgd_direction),
+                        (AdamWState(2, rows=3), adamw_direction)):
+        with pytest.raises(DimensionMismatchError):
+            rule(state, np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            rule(state, np.zeros(2), np.zeros(2))
+        bad = np.zeros((3, 2))
+        bad[1, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            rule(state, bad, np.zeros((3, 2)))
+    with pytest.raises(DimensionMismatchError):
+        post_process(Mask([1, 0, 1]), np.zeros((4, 2)))
+
+
 def test_post_process_identity_and_sign():
     g = np.array([3.0, -0.5, 0.0])
     out = post_process(Identity(), g)

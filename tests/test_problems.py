@@ -246,6 +246,41 @@ def test_loss_grad_matches_loss_and_grad_bits(make):
             np.testing.assert_array_equal(g, p.grad(w, b))
 
 
+@pytest.mark.parametrize("make", [
+    RosenbrockProblem,
+    BealeProblem,
+    lambda: QuadraticProblem([[4.0, 1.0], [1.0, 3.0]], offset=[2.0, -1.0]),
+    lambda: _tiny_logreg(l2=0.1),
+])
+def test_loss_grad_rows_match_loss_grad_bits(make):
+    # row k of a block evaluation carries the bits of loss_grad (or loss)
+    # at row k, overflowed rows included
+    p = make()
+    rng = np.random.default_rng(32)
+    ws = rng.uniform(-3.0, 3.0, size=(9, p.dim))
+    ws[-2:] *= np.array([1e150, 1e300])[:, None]
+    batches = [FULL_DATA]
+    if isinstance(p, LogisticRegressionProblem):
+        batches.append(SyntheticNoise(seed=8, batch_size=16))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in batches:
+            losses, gs = p.loss_grad_rows(ws, b)
+            only, none = p.loss_grad_rows(ws, b, grad=False)
+            pairs = [p.loss_grad(w, b) for w in ws]
+            assert losses.shape == (9,) and gs.shape == (9, p.dim)
+            assert none is None
+            want = np.array([loss for loss, _ in pairs])
+            assert losses.tobytes() == want.tobytes() == only.tobytes()
+            assert gs.tobytes() == np.array([g for _, g in pairs]).tobytes()
+
+
+def test_surface_rows_need_two_columns():
+    with pytest.raises(ValueError):
+        RosenbrockProblem().loss_grad_rows(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        BealeProblem().loss_grad_rows(np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # Synthetic dataset generation
 

@@ -8,8 +8,12 @@ written to the same temporary directory, and compare the same facts, so
 that a change to any config error's code or message, on either command's
 validation path, shows. A config that one command accepts (a newton or
 gen experiment under `run`, one without a rate under `grid-search`) runs
-and is compared like any other. Exits 1 on any difference. Also
-prints each tree's line count of genopt/*.py, as `wc -l` counts it.
+and is compared like any other. Then run `genopt grid-search` on one more
+config written there, whose experiments cover the option shapes a grid
+can take (momentum and weight decay, AdamW betas, each post-processor,
+start_point, quadratic and logreg problems, full and mini-batch), so any
+change to a grid row on those paths shows. Exits 1 on any difference.
+Also prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
     python tools/same_outputs.py OLD/src NEW/src
 """
@@ -88,6 +92,34 @@ BAD_EXPERIMENTS = {
 }
 
 
+SURFACE = {"problem": {"kind": "rosenbrock"}, "iterations": 300}
+LOGREG_GRID = {"problem": dict(LOGREG, n=200, d=3), "iterations": 40}
+# experiments for grid-search, one per option shape; several have rates
+# that diverge
+GRID_SHAPES = [
+    dict(SURFACE, name="momentum-decay", optimizer={
+        "kind": "sgd", "momentum": 0.9, "weight_decay": 0.01}),
+    dict(SURFACE, name="adamw-betas", problem={"kind": "beale"}, optimizer={
+        "kind": "adamw", "beta1": 0.5, "beta2": 0.9, "epsilon": 1.0e-6,
+        "weight_decay": 0.1}),
+    dict(SURFACE, name="clip", optimizer={"kind": "sgd", "post_process": {
+        "kind": "clip", "max_norm": 3.0}}),
+    dict(SURFACE, name="sign", problem={"kind": "beale"}, optimizer={
+        "kind": "adamw", "post_process": {"kind": "sign"}}),
+    dict(SURFACE, name="mask", optimizer={"kind": "sgd", "post_process": {
+        "kind": "mask", "mask": [1, 0]}}),
+    dict(SURFACE, name="start-point", problem={"kind": "beale"},
+         optimizer={"kind": "sgd"}, start_point=[1.0, 1.0]),
+    dict(SURFACE, name="quadratic", problem={
+        "kind": "quadratic", "matrix_a": [[3.0, 1.0], [1.0, 2.0]],
+        "offset": [1.0, 2.0]}, optimizer={"kind": "sgd", "momentum": 0.5}),
+    dict(LOGREG_GRID, name="logreg-full", optimizer={"kind": "adamw"},
+         problem=dict(LOGREG_GRID["problem"], l2_penalty=0.01)),
+    dict(LOGREG_GRID, name="logreg-minibatch", optimizer={
+        "kind": "sgd", "momentum": 0.9}, batch_size=16, seed=3),
+]
+
+
 def invalid_configs():
     """Name -> config mapping, for every config that `run` or
     `grid-search` must reject."""
@@ -124,6 +156,11 @@ def outputs(src, tmp):
         path.parent.mkdir(exist_ok=True)
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
         cases += [("run", path), ("grid-search", path)]
+    path = Path(tmp, "grid_shapes.yaml")
+    path.write_text(yaml.safe_dump({"format_version": 1, "output_dir": "out",
+                                    "experiments": GRID_SHAPES}),
+                    encoding="utf-8")
+    cases.append(("grid-search", path))
     got = {}
     for cmd, cfg in cases:
         out = Path(tmp, cmd, cfg.stem)
