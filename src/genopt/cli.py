@@ -5,8 +5,8 @@ significant digits, LF endings) so that repeated runs of the same config
 are byte-identical and diffable. Every error path prints exactly one
 stderr line of the form ``error[<code>]: <message>``.
 
-Exit codes: 0 success, 2 config error, 3 runtime error. A diverged run is
-a successful run whose status column says so.
+Exit codes: 0 success, 2 config or command-line error, 3 runtime error. A
+diverged run is a successful run whose status column says so.
 """
 
 from __future__ import annotations
@@ -197,7 +197,8 @@ def _command(config_path: str, output_dir: Optional[str],
              seed: Optional[int], body, vet=None) -> int:
     """Load the config, override the seeds, let ``vet(specs)`` reject the
     experiments before the output directory exists, create it and return
-    ``body(specs, out)``. A config error exits 2, an I/O error 3.
+    ``body(specs, out)``. A config error exits 2, an I/O error or running
+    out of memory 3.
     """
     try:
         if seed is not None and seed < 0:
@@ -217,6 +218,9 @@ def _command(config_path: str, output_dir: Optional[str],
         return 2
     except OSError as e:
         _err("io.error", e)
+        return 3
+    except MemoryError as e:
+        _err("runtime.out-of-memory", e)
         return 3
 
 
@@ -324,8 +328,15 @@ def cmd_compare(config_path: str, output_dir: Optional[str] = None,
     return _command(config_path, output_dir, seed, body, vet=_vet_compare)
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad command line raises instead of printing usage and exiting, so
+    # main prints one error line; the subparsers are built from this class
+    def error(self, message):
+        raise SpecError("cli.usage", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genopt",
         description="Run adaptive-learning-rate benchmark experiments "
                     "from declarative configs.")
@@ -341,7 +352,11 @@ def main(argv=None) -> int:
                        help="worker processes for independent runs")
         p.add_argument("--seed", type=int, default=None,
                        help="override every experiment's seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SpecError as e:
+        _err(e.code, e)
+        return 2
     if args.jobs < 1:
         _err("cli.jobs", f"--jobs must be an integer >= 1, got {args.jobs}")
         return 2

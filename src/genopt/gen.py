@@ -193,8 +193,8 @@ class GenController:
     curvature from ``exact_eta_hvp``. When ``horizon`` is set, accepted
     candidates are scaled by the linear decay factor (1 - step/horizon)
     before clamping and smoothing.
-    fit_attempts / fits_accepted / fits_rejected count the estimates of
-    either estimator for diagnostics.
+    fit_attempts / fits_accepted count the estimates of either estimator
+    for diagnostics; fits_rejected is their difference.
     """
 
     eta: float
@@ -204,10 +204,9 @@ class GenController:
     r2_threshold: float = 0.99
     horizon: Optional[int] = None
     estimator: str = "fit"
-    step: int = 0
+    step: int = field(default=0, init=False)
     fit_attempts: int = field(default=0, init=False)
     fits_accepted: int = field(default=0, init=False)
-    fits_rejected: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -225,8 +224,10 @@ class GenController:
             raise ValueError("horizon must be >= 1 when set")
         if self.estimator not in ("fit", "hvp"):
             raise ValueError("estimator must be 'fit' or 'hvp'")
-        if self.step < 0:
-            raise ValueError("step must be >= 0")
+
+    @property
+    def fits_rejected(self) -> int:
+        return self.fit_attempts - self.fits_accepted
 
 
 class Estimate(NamedTuple):
@@ -309,8 +310,6 @@ def gen_update(ctrl: GenController, obj: Objective, w: Array,
         hi = ctrl.eta * CLAMP_FACTOR
         candidate = min(max(candidate, lo), hi)
         ctrl.eta = smooth(ctrl.eta, candidate, ctrl.gamma)
-    else:
-        ctrl.fits_rejected += 1
     return ctrl.eta, estimate
 
 

@@ -80,7 +80,7 @@ _OPTIMIZER_KINDS = ("sgd", "adamw", "newton")
 
 
 class SpecError(ValueError):
-    """Invalid experiment description. ``code`` is machine-greppable."""
+    """Invalid config or command line. ``code`` is machine-greppable."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -457,25 +457,21 @@ def _build_post_processor(data: Optional[Dict]):
     return Mask(data["mask"])
 
 
-def _first_order(optimizer: Dict, dim: int, rows: Optional[int] = None):
-    # (state, rule) of an sgd or adamw optimizer mapping
-    if optimizer["kind"] == "sgd":
-        return SgdState(dim, momentum=optimizer.get("momentum", 0.0),
-                        weight_decay=optimizer.get("weight_decay", 0.0),
-                        rows=rows), sgd_direction
-    return AdamWState(dim, beta1=optimizer.get("beta1", 0.9),
-                      beta2=optimizer.get("beta2", 0.999),
-                      epsilon=optimizer.get("epsilon", 1e-8),
-                      weight_decay=optimizer.get("weight_decay", 0.0),
-                      rows=rows), adamw_direction
-
-
-def build_direction_fn(problem: Objective, optimizer: Dict) -> Callable:
-    """Return a stateful (raw_grad, w, batch) -> direction callable."""
+def build_direction_fn(problem: Objective, optimizer: Dict,
+                       rows: Optional[int] = None) -> Tuple[object, Callable]:
+    """Return ``(state, direction)``: the optimizer's state (None for
+    newton) and a stateful (raw_grad, w, batch) -> direction callable.
+    With ``rows`` the state holds that many runs as (rows, dim) blocks."""
     kind = optimizer["kind"]
     pp = _build_post_processor(optimizer.get("post_process"))
+    state = None
     if kind in ("sgd", "adamw"):
-        state, rule = _first_order(optimizer, problem.dim)
+        make, rule = ((SgdState, sgd_direction) if kind == "sgd"
+                      else (AdamWState, adamw_direction))
+        # the mapping's own settings; the state declares the defaults
+        state = make(problem.dim, rows=rows, **{
+            k: v for k, v in optimizer.items()
+            if k not in ("kind", "post_process")})
 
         def raw(g, w, batch):
             return rule(state, g, w)
@@ -489,8 +485,8 @@ def build_direction_fn(problem: Objective, optimizer: Dict) -> Callable:
         raise SpecError("config.optimizer.kind",
                         f"unknown optimizer kind {kind!r}")
     if pp is None:
-        return raw
-    return lambda g, w, batch: post_process(pp, raw(g, w, batch))
+        return state, raw
+    return state, lambda g, w, batch: post_process(pp, raw(g, w, batch))
 
 
 def _step_batch(seed: int, step: int, batch_size: Optional[int]) -> BatchSelector:
@@ -634,7 +630,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
     spec = spec_from_dict(spec.to_dict(), where=spec.name)
     require_eta_or_gen(spec)
     problem = build_problem(spec.problem)
-    return _execute(problem, build_direction_fn(problem, spec.optimizer),
+    return _execute(problem, build_direction_fn(problem, spec.optimizer)[1],
                     spec)
 
 
@@ -666,8 +662,8 @@ def _grid_lanes(problem: Objective, spec: ExperimentSpec
     """
     lanes = list(range(len(LR_GRID)))  # the rate index of each block row
     w = np.tile(_start(problem, spec), (len(lanes), 1))
-    state, rule = _first_order(spec.optimizer, problem.dim, rows=len(lanes))
-    pp = _build_post_processor(spec.optimizer.get("post_process"))
+    state, direction = build_direction_fn(problem, spec.optimizer,
+                                          rows=len(lanes))
     out = [(math.nan, "ok")] * len(lanes)
     carried: Optional[Tuple[Array, ...]] = None
 
@@ -696,9 +692,7 @@ def _grid_lanes(problem: Objective, spec: ExperimentSpec
                 losses, g = carried
             if not lanes:
                 break
-            d = rule(state, g, w)
-            if pp is not None:
-                d = post_process(pp, d)
+            d = direction(g, w, batch)
             # a non-finite direction row gives a non-finite step, so
             # apply_step stops a lane whose direction or step blows up,
             # both at the step's loss as in _execute

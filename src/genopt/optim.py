@@ -5,10 +5,12 @@ learning rate and applies ``w - eta * direction``. Keeping the direction
 separate from the step size is what lets a single scalar line search serve
 every optimizer here.
 
-A state built with ``rows`` holds K independent runs of one rule: its
-buffers, gradients and parameters are (K, dim) blocks, one row per run,
-and every rule is elementwise (clipping is per row), so row k carries the
-bits the same rule gives run k on its own vector.
+A state's buffers are one (dim,) vector, or with ``rows`` a (K, dim)
+block holding K independent runs of one rule, one row per run. Each rule
+checks its gradient and parameters against that buffer shape and for
+finiteness, and never writes to them. Every rule is elementwise (clipping
+is per row), so row k carries the bits the same rule gives run k on its
+own vector.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (
-    Array,
-    DimensionMismatchError,
-    as_param_vector,
-    check_finite,
-    norm,
-)
+from .core import Array, DimensionMismatchError, check_finite, norm
 
 
 @dataclass
@@ -89,17 +85,16 @@ class AdamWState:
 
 def _shape(state):
     # a state's buffer shape: one vector, or a (rows, dim) block
-    return state.dim if state.rows is None else (state.rows, state.dim)
+    return (state.dim,) if state.rows is None else (state.rows, state.dim)
 
 
-def _block(state, values, what: str) -> Array:
-    # a block state's operand: the checks of as_param_vector on every row
+def _operand(state, values, what: str) -> Array:
+    # a rule's gradient or parameters: the state's buffer shape, all finite
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (state.rows, state.dim):
+    if arr.shape != _shape(state):
         raise DimensionMismatchError(
-            f"expected a {what} block of shape {(state.rows, state.dim)}, "
-            f"got {arr.shape}")
-    return check_finite(arr, f"{what} block")
+            f"expected a {what} of shape {_shape(state)}, got {arr.shape}")
+    return check_finite(arr, what)
 
 
 def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
@@ -108,12 +103,8 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
     Mutates ``state.velocity`` in place; the returned array is a copy, so
     callers may scale it freely.
     """
-    if state.rows is None:
-        g = as_param_vector(raw_grad, dim=state.dim)
-        w = as_param_vector(w, dim=state.dim)
-    else:
-        g = _block(state, raw_grad, "gradient")
-        w = _block(state, w, "parameter")
+    g = _operand(state, raw_grad, "gradient")
+    w = _operand(state, w, "parameter")
     effective = g + state.weight_decay * w
     state.velocity *= state.momentum
     state.velocity += effective
@@ -122,12 +113,8 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
 
 def adamw_direction(state: AdamWState, raw_grad: Array, w: Array) -> Array:
     """One Adam moment update with bias correction, decay applied to w directly."""
-    if state.rows is None:
-        g = as_param_vector(raw_grad, dim=state.dim)
-        w = as_param_vector(w, dim=state.dim)
-    else:
-        g = _block(state, raw_grad, "gradient")
-        w = _block(state, w, "parameter")
+    g = _operand(state, raw_grad, "gradient")
+    w = _operand(state, w, "parameter")
     state.step_count += 1
     t = state.step_count
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g

@@ -701,13 +701,44 @@ def test_compare_diverged_column_goes_blank_after_halt(tmp_path):
 # argument parsing
 
 
-def test_unknown_subcommand_exits_via_argparse():
-    with pytest.raises(SystemExit):
-        main(["polish"])
-    with pytest.raises(SystemExit):
-        main([])
+def test_unknown_subcommand_exits_via_argparse(capsys):
+    assert main(["polish"]) == 2
+    assert _stderr_code(capsys) == "cli.usage"
+    assert main([]) == 2
+    assert _stderr_code(capsys) == "cli.usage"
 
 
-def test_config_flag_is_required():
-    with pytest.raises(SystemExit):
-        main(["run"])
+def test_config_flag_is_required(capsys):
+    assert main(["run"]) == 2
+    assert _stderr_code(capsys) == "cli.usage"
+
+
+@pytest.mark.parametrize("flag, value", [("--jobs", "abc"), ("--seed", "1.5")])
+def test_bad_flag_value_is_one_usage_line(tmp_path, capsys, pool_sizes,
+                                          flag, value):
+    cfg = _write_config(tmp_path, _basic_experiments())
+    assert main(["run", "--config", cfg, flag, value]) == 2
+    assert _stderr_code(capsys) == "cli.usage"
+    assert not (tmp_path / "out").exists()
+    assert pool_sizes == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_out_of_memory_is_its_own_runtime_error(tmp_path, monkeypatch,
+                                                capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.42 PiB")
+
+    harness._logreg_dataset.cache_clear()
+    monkeypatch.setattr(harness, "generate_dataset", no_memory)
+    exp = [{"name": "big", "problem": {"kind": "logreg", "seed": 3,
+                                       "n": 10 ** 14, "d": 2},
+            "optimizer": {"kind": "sgd"}, "iterations": 5, "eta": 0.05}]
+    assert main(["run", "--config", _write_config(tmp_path, exp)]) == 3
+    assert _stderr_code(capsys) == "runtime.out-of-memory"

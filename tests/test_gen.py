@@ -270,6 +270,22 @@ def test_controller_validation():
         GenController(eta=0.1, estimator="magic")
 
 
+def test_controller_counters_follow_each_estimate():
+    with pytest.raises(TypeError):
+        GenController(eta=0.1, step=3)  # the step counter is not an input
+    ctrl = GenController(eta=0.05, phi=1, gamma=0.0)
+    with pytest.raises(AttributeError):
+        ctrl.fits_rejected = 0
+    w = np.array([1.0])
+    rejected = 0
+    for obj in (Concave1D(), _unit_quadratic(), Concave1D(), _BlowsUp()):
+        _, rec = gen_update(ctrl, obj, w, obj.grad(w), l_zero=0.5)
+        rejected += not rec.fit_accepted
+        assert ctrl.fits_rejected == rejected
+        assert ctrl.fits_accepted + ctrl.fits_rejected == ctrl.fit_attempts
+    assert (ctrl.step, ctrl.fit_attempts, rejected) == (4, 4, 3)
+
+
 def test_gen_update_lazy_schedule():
     p = _unit_quadratic()
     counting = CountingObjective(p)

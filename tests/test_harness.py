@@ -1363,8 +1363,9 @@ def _per_rate_rows(problem, spec):
     # float exactly, nan and inf included
     rows = []
     for eta in LR_GRID:
+        _, direction = harness.build_direction_fn(problem, spec.optimizer)
         result = harness._execute(
-            problem, harness.build_direction_fn(problem, spec.optimizer),
+            problem, direction,
             dataclasses.replace(spec, eta=eta, log_every=spec.iterations))
         rows.append((eta, repr(result.final_loss), result.status))
     return rows

@@ -115,13 +115,6 @@ def test_adamw_decoupled_weight_decay():
     np.testing.assert_allclose(d_wd, d_plain + 0.01 * w, rtol=1e-12)
 
 
-def test_direction_shape_checks():
-    with pytest.raises(DimensionMismatchError):
-        sgd_direction(SgdState(dim=2), np.zeros(3), np.zeros(3))
-    with pytest.raises(DimensionMismatchError):
-        adamw_direction(AdamWState(dim=2), np.zeros(3), np.zeros(3))
-
-
 # ---------------------------------------------------------------------------
 # blocks: K runs of one rule as (K, dim) rows, each with a run's own bits
 
@@ -167,16 +160,26 @@ def test_block_keep_drops_rows():
 
 
 def test_block_shape_and_finite_checks():
-    for state, rule in ((SgdState(2, rows=3), sgd_direction),
-                        (AdamWState(2, rows=3), adamw_direction)):
-        with pytest.raises(DimensionMismatchError):
-            rule(state, np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(DimensionMismatchError):
-            rule(state, np.zeros(2), np.zeros(2))
-        bad = np.zeros((3, 2))
-        bad[1, 0] = np.nan
-        with pytest.raises(NonFiniteError):
-            rule(state, bad, np.zeros((3, 2)))
+    # one check for vector and block states: the operands must have the
+    # state's buffer shape and be finite
+    for rows in (None, 3):
+        for state, rule in ((SgdState(2, rows=rows), sgd_direction),
+                            (AdamWState(2, rows=rows), adamw_direction)):
+            good = np.zeros(2 if rows is None else (3, 2))
+            wrong = [np.zeros(3), np.zeros((2, 2))]
+            if rows is not None:
+                wrong.append(np.zeros(2))
+            for bad in wrong:
+                with pytest.raises(DimensionMismatchError):
+                    rule(state, bad, good)
+                with pytest.raises(DimensionMismatchError):
+                    rule(state, good, bad)
+            nan = good.copy()
+            nan.flat[1] = np.nan
+            with pytest.raises(NonFiniteError):
+                rule(state, nan, good)
+            with pytest.raises(NonFiniteError):
+                rule(state, good, nan)
     with pytest.raises(DimensionMismatchError):
         post_process(Mask([1, 0, 1]), np.zeros((4, 2)))
 
