@@ -12,7 +12,12 @@ and is compared like any other. Then run `genopt grid-search` on one more
 config written there, whose experiments cover the option shapes a grid
 can take (momentum and weight decay, AdamW betas, each post-processor,
 start_point, quadratic and logreg problems, full and mini-batch), so any
-change to a grid row on those paths shows. Exits 1 on any difference.
+change to a grid row on those paths shows. Then run `genopt run` on one
+more config whose adaptive experiments cover the gen settings no
+committed config takes (5-point probes, whose r2 column carries the
+fit's residual bits, phi > 1, decay, a low r2 threshold, the hvp
+estimator) on Rosenbrock, the quadratic and logreg with the full batch
+and with mini-batches. Exits 1 on any difference.
 Also prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
     python tools/same_outputs.py OLD/src NEW/src
@@ -119,6 +124,31 @@ GRID_SHAPES = [
         "kind": "sgd", "momentum": 0.9}, batch_size=16, seed=3),
 ]
 
+QUADRATIC = {"kind": "quadratic", "matrix_a": [[3.0, 1.0], [1.0, 2.0]],
+             "offset": [1.0, 2.0]}
+LOGREG_RUN = dict(LOGREG, n=200, d=3, l2_penalty=0.01)
+FIVE = {"probe_points": 5, "phi": 3, "decay": True, "r2_threshold": 0.5}
+# experiments for run, one per adaptive shape
+ADAPTIVE_SHAPES = [
+    dict(SURFACE, name="rosenbrock-five", optimizer={"kind": "sgd"},
+         gen=dict(FIVE, eta0=1.0e-3)),
+    dict(SURFACE, name="rosenbrock-five-auto", optimizer={"kind": "adamw"},
+         gen={"probe_points": 5, "r2_threshold": 0.5, "phi": 1}),
+    dict(SURFACE, name="quadratic-five", problem=QUADRATIC,
+         optimizer={"kind": "sgd", "momentum": 0.5}, gen=dict(FIVE)),
+    dict(SURFACE, name="quadratic-hvp", problem=QUADRATIC,
+         optimizer={"kind": "sgd"},
+         gen={"estimator": "hvp", "phi": 3, "decay": True, "eta0": 0.1}),
+    dict(LOGREG_GRID, name="logreg-full-five", problem=LOGREG_RUN,
+         optimizer={"kind": "adamw"}, gen=dict(FIVE, eta0=0.01)),
+    dict(LOGREG_GRID, name="logreg-minibatch-five", problem=LOGREG_RUN,
+         optimizer={"kind": "sgd", "momentum": 0.9}, batch_size=16, seed=3,
+         gen=dict(FIVE, gamma=0.5)),
+    dict(LOGREG_GRID, name="logreg-minibatch-hvp", problem=LOGREG_RUN,
+         optimizer={"kind": "sgd"}, batch_size=16, seed=4,
+         gen={"estimator": "hvp", "phi": 3, "decay": True}),
+]
+
 
 def invalid_configs():
     """Name -> config mapping, for every config that `run` or
@@ -161,6 +191,11 @@ def outputs(src, tmp):
                                     "experiments": GRID_SHAPES}),
                     encoding="utf-8")
     cases.append(("grid-search", path))
+    path = Path(tmp, "adaptive_shapes.yaml")
+    path.write_text(yaml.safe_dump({"format_version": 1, "output_dir": "out",
+                                    "experiments": ADAPTIVE_SHAPES}),
+                    encoding="utf-8")
+    cases.append(("run", path))
     got = {}
     for cmd, cfg in cases:
         out = Path(tmp, cmd, cfg.stem)
