@@ -60,8 +60,20 @@ def as_param_vector(values, dim: Optional[int] = None) -> Array:
     return arr
 
 
+def finite_array(arr: Array) -> bool:
+    """``all_finite`` for a float64 array, in one call on a vector.
+
+    A sum of squares is finite only when every entry is: an Inf entry
+    makes it Inf and a NaN makes it NaN. So a finite ``arr . arr`` proves
+    a vector finite; one that overflows or is NaN, and a block, get the
+    entrywise check. A sum that overflows is reported under numpy's error
+    state like any other overflow (the step loops ignore it).
+    """
+    return (arr.ndim == 1 and math.isfinite(arr.dot(arr))) or all_finite(arr)
+
+
 def check_finite(arr: Array, what: str) -> Array:
-    if not all_finite(arr):
+    if not finite_array(arr):
         raise NonFiniteError(f"{what} contains NaN or Inf")
     return arr
 

@@ -29,8 +29,10 @@ from .core import (
     Array,
     BatchSelector,
     FULL_DATA,
+    DimensionMismatchError,
     NonFiniteError,
     Objective,
+    finite_array,
 )
 from .optim import apply_step
 
@@ -63,7 +65,8 @@ class QuadraticFit:
 
 
 # sentinel for degenerate probe data; fails every acceptance guard
-REJECTED = QuadraticFit(0.0, 0.0, 0.0)
+_NO_FIT = (0.0, 0.0, 0.0)
+REJECTED = QuadraticFit(*_NO_FIT)
 
 
 def probe_losses(obj: Objective, w: Array, direction: Array, eta_prev: float,
@@ -76,28 +79,47 @@ def probe_losses(obj: Objective, w: Array, direction: Array, eta_prev: float,
     the current loss; otherwise it is evaluated once here. Every probe uses
     the same batch.
 
-    Raises NonFiniteProbeLoss if any probe loss (or probe point) is not
-    finite, so callers can treat a blown-up probe as a rejected fit rather
-    than a crash.
+    Raises NonFiniteProbeLoss if any probe loss, probe offset or probe
+    point is not finite, so callers can treat a blown-up probe as a
+    rejected fit rather than a crash.
     """
     if not isinstance(points, numbers.Integral) or points not in (3, 5):
         raise ValueError(f"points must be 3 or 5, got {points}")
     if not (eta_prev > 0 and math.isfinite(eta_prev)):
         raise ValueError(f"eta_prev must be positive and finite, got {eta_prev}")
+    w, d = _operands(w, direction)
+    return _probe(obj, w, d, eta_prev, batch, points, l_zero)
+
+
+def _operands(w: Array, direction: Array) -> Tuple[Array, Array]:
+    # the probes' parameters and direction as float64 arrays of one shape
     w = np.asarray(w, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
+    if w.shape != d.shape:
+        raise DimensionMismatchError(
+            f"parameter shape {w.shape} != direction shape {d.shape}")
+    return w, d
+
+
+def _probe(obj: Objective, w: Array, d: Array, eta_prev: float,
+           batch: BatchSelector, points: int,
+           l_zero: Optional[float]) -> List[Tuple[float, float]]:
+    # probe_losses on checked operands: float64 w and d of one shape,
+    # eta_prev positive and finite, points 3 or 5
     half = points // 2
     out = []
     for k in range(-half, half + 1):
         eta = k * eta_prev
-        if k == 0 and l_zero is not None:
-            loss = float(l_zero)
+        if k == 0:
+            loss = float(obj.loss(w, batch) if l_zero is None else l_zero)
         else:
-            try:
-                w_probe = apply_step(w, eta, d) if k != 0 else w
-            except NonFiniteError:
+            if not math.isfinite(eta):
                 raise NonFiniteProbeLoss(
-                    f"probe point at eta={eta} is not finite") from None
+                    f"probe offset {k} * {eta_prev} is not finite")
+            w_probe = w - eta * d
+            if not finite_array(w_probe):
+                raise NonFiniteProbeLoss(
+                    f"probe point at eta={eta} is not finite")
             loss = float(obj.loss(w_probe, batch))
         if not math.isfinite(loss):
             raise NonFiniteProbeLoss(f"loss at probe eta={eta} is {loss}")
@@ -130,11 +152,21 @@ def fit_quadratic(probes) -> QuadraticFit:
     for e, l in pairs:
         if not (math.isfinite(e) and math.isfinite(l)):
             raise ValueError(f"non-finite probe ({e}, {l})")
+    fit = _fit(pairs, l_zero)
+    return REJECTED if fit is _NO_FIT else QuadraticFit(*fit)
+
+
+def _fit(probes, l_zero: float) -> Tuple[float, float, float]:
+    # fit_quadratic's (curvature, slope, r2) on checked probes: finite
+    # pairs with distinct etas, l_zero the loss at eta = 0; _NO_FIT for
+    # REJECTED. The eta = 0 pair adds exactly +-0.0 to each sum, and a
+    # sum that starts at +0.0 never holds -0.0, so leaving it out keeps
+    # every bit.
+    points = [(e, l - l_zero) for e, l in probes if e != 0.0]
 
     # normal equations for the two-column design [eta^2/2, -eta]
     saa = sab = sbb = ta = tb = 0.0
-    for e, l in pairs:
-        y = l - l_zero
+    for e, y in points:
         q = 0.5 * e * e
         r = -e
         saa += q * q
@@ -144,36 +176,31 @@ def fit_quadratic(probes) -> QuadraticFit:
         tb += r * y
     det = saa * sbb - sab * sab
     if not (det > 0.0 and math.isfinite(det)):
-        return REJECTED
+        return _NO_FIT
     curvature = (ta * sbb - tb * sab) / det
     slope = (saa * tb - sab * ta) / det
     if not (math.isfinite(curvature) and math.isfinite(slope)):
-        return REJECTED
+        return _NO_FIT
 
     try:
         ss_tot = 0.0
-        for e, l in pairs:
-            if e != 0.0:
-                ss_tot += (l - l_zero) ** 2
+        for _, y in points:
+            ss_tot += y ** 2
         if ss_tot == 0.0:
             # flat probe pattern carries no signal
-            return QuadraticFit(curvature=curvature, slope=slope, r2=0.0)
-        nonzero = sum(1 for e, _ in pairs if e != 0.0)
-        if nonzero == 2:
+            return curvature, slope, 0.0
+        if len(points) == 2:
             # two unknowns, two informative points: exact interpolation
-            r2 = 1.0
-        else:
-            ss_res = 0.0
-            for e, l in pairs:
-                if e != 0.0:
-                    pred = 0.5 * curvature * e * e - slope * e
-                    ss_res += (l - l_zero - pred) ** 2
-            r2 = 1.0 - ss_res / ss_tot
+            return curvature, slope, 1.0
+        ss_res = 0.0
+        for e, y in points:
+            pred = 0.5 * curvature * e * e - slope * e
+            ss_res += (y - pred) ** 2
     except OverflowError:
         # a float power raises where a product would give inf: loss
         # differences past 1e154 are a blown-up probe, not a parabola
-        return REJECTED
-    return QuadraticFit(curvature=curvature, slope=slope, r2=r2)
+        return _NO_FIT
+    return curvature, slope, 1.0 - ss_res / ss_tot
 
 
 def smooth(eta_prev: float, eta_candidate: float, gamma: float) -> float:
@@ -255,22 +282,27 @@ def _estimate(ctrl: GenController, obj: Objective, w: Array,
     The fit's guards are curvature > 0, slope > 0, r2 > r2_threshold and
     a finite candidate; a blown-up probe or degenerate probe pattern fails
     them. The hvp estimate passes when it is positive and finite.
+    The fit runs the cores under ``probe_losses`` and ``fit_quadratic``:
+    the controller's rate and point count are valid by construction, and
+    the probes come out checked.
     """
     if ctrl.estimator == "hvp":
         candidate = exact_eta_hvp(obj, w, raw_grad, direction, batch=batch)
         return Estimate(candidate, (candidate is not None and candidate > 0.0
                                     and math.isfinite(candidate)))
+    w, d = _operands(w, direction)
     try:
-        fit = fit_quadratic(probe_losses(obj, w, direction, ctrl.eta, batch,
-                                         ctrl.probe_points, l_zero=l_zero))
+        probes = _probe(obj, w, d, float(ctrl.eta), batch,
+                        ctrl.probe_points, l_zero)
     except NonFiniteProbeLoss:
         return NO_ESTIMATE
-    candidate = fit.eta_candidate if fit.curvature != 0.0 else None
-    passed = (fit.curvature > 0.0
-              and fit.slope > 0.0
-              and fit.r2 > ctrl.r2_threshold
+    curvature, slope, r2 = _fit(probes, probes[ctrl.probe_points // 2][1])
+    candidate = slope / curvature if curvature != 0.0 else None
+    passed = (curvature > 0.0
+              and slope > 0.0
+              and r2 > ctrl.r2_threshold
               and math.isfinite(candidate))
-    return Estimate(candidate, passed, fit.r2)
+    return Estimate(candidate, passed, r2)
 
 
 def gen_update(ctrl: GenController, obj: Objective, w: Array,

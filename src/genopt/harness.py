@@ -28,6 +28,7 @@ from .core import (
     SyntheticNoise,
     all_finite,
     as_param_vector,
+    finite_array,
     norm,
 )
 from .gen import (
@@ -43,10 +44,10 @@ from .optim import (
     Mask,
     SgdState,
     SignSgd,
-    adamw_direction,
+    _adamw_rule,
+    _sgd_rule,
     apply_step,
     post_process,
-    sgd_direction,
 )
 from .problems import (
     BealeProblem,
@@ -461,13 +462,15 @@ def build_direction_fn(problem: Objective, optimizer: Dict,
                        rows: Optional[int] = None) -> Tuple[object, Callable]:
     """Return ``(state, direction)``: the optimizer's state (None for
     newton) and a stateful (raw_grad, w, batch) -> direction callable.
-    With ``rows`` the state holds that many runs as (rows, dim) blocks."""
+    With ``rows`` the state holds that many runs as (rows, dim) blocks.
+    The callable takes finite float64 operands of the state's shape,
+    as the step loops hand them, and does not check them again."""
     kind = optimizer["kind"]
     pp = _build_post_processor(optimizer.get("post_process"))
     state = None
     if kind in ("sgd", "adamw"):
-        make, rule = ((SgdState, sgd_direction) if kind == "sgd"
-                      else (AdamWState, adamw_direction))
+        make, rule = ((SgdState, _sgd_rule) if kind == "sgd"
+                      else (AdamWState, _adamw_rule))
         # the mapping's own settings; the state declares the defaults
         state = make(problem.dim, rows=rows, **{
             k: v for k, v in optimizer.items()
@@ -543,11 +546,16 @@ def _execute(problem: Objective, direction_fn: Callable,
             grad_norm = math.nan
             estimate = NO_ESTIMATE
             g = np.asarray(g, dtype=np.float64)
-            ok = _in_bounds(loss) and all_finite(g)
+            ok = _in_bounds(loss)
             if ok:
-                grad_norm = norm(g)
+                # a finite g . g proves g finite and gives norm(g)'s bits;
+                # one that overflows or is NaN asks the entrywise check
+                gg = float(g.dot(g))
+                ok = math.isfinite(gg) or all_finite(g)
+            if ok:
+                grad_norm = math.sqrt(gg)
                 d = np.asarray(direction_fn(g, w, batch), dtype=np.float64)
-                ok = all_finite(d)
+                ok = finite_array(d)
             if ok and spec.gen is not None and ctrl is None:
                 # first step: resolve the starting rate, then build state
                 try:

@@ -8,9 +8,11 @@ every optimizer here.
 A state's buffers are one (dim,) vector, or with ``rows`` a (K, dim)
 block holding K independent runs of one rule, one row per run. Each rule
 checks its gradient and parameters against that buffer shape and for
-finiteness, and never writes to them. Every rule is elementwise (clipping
-is per row), so row k carries the bits the same rule gives run k on its
-own vector.
+finiteness, then runs its core (``_sgd_rule``, ``_adamw_rule``), which
+the step loops call directly on values they have already checked. No
+rule writes to its operands. Every rule is elementwise (clipping is per
+row), so row k carries the bits the same rule gives run k on its own
+vector.
 """
 
 from __future__ import annotations
@@ -103,8 +105,13 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
     Mutates ``state.velocity`` in place; the returned array is a copy, so
     callers may scale it freely.
     """
-    g = _operand(state, raw_grad, "gradient")
-    w = _operand(state, w, "parameter")
+    return _sgd_rule(state, _operand(state, raw_grad, "gradient"),
+                     _operand(state, w, "parameter"))
+
+
+def _sgd_rule(state: SgdState, g: Array, w: Array) -> Array:
+    # sgd_direction on checked operands: float64 arrays of the state's
+    # buffer shape, all finite
     effective = g + state.weight_decay * w
     state.velocity *= state.momentum
     state.velocity += effective
@@ -113,8 +120,12 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
 
 def adamw_direction(state: AdamWState, raw_grad: Array, w: Array) -> Array:
     """One Adam moment update with bias correction, decay applied to w directly."""
-    g = _operand(state, raw_grad, "gradient")
-    w = _operand(state, w, "parameter")
+    return _adamw_rule(state, _operand(state, raw_grad, "gradient"),
+                       _operand(state, w, "parameter"))
+
+
+def _adamw_rule(state: AdamWState, g: Array, w: Array) -> Array:
+    # adamw_direction on checked operands, as for _sgd_rule
     state.step_count += 1
     t = state.step_count
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g

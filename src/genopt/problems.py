@@ -180,7 +180,8 @@ class LogisticRegressionProblem(Objective):
             idx = rng.choice(self.n_samples, size=batch.batch_size,
                              replace=False, shuffle=False)
             idx.sort()
-            memo = (batch, self.features[idx], self._y64[idx])
+            memo = (batch, self.features.take(idx, axis=0),
+                    self._y64.take(idx))
             self._noise_memo = memo
             return memo[1], memo[2]
         raise TypeError(f"unsupported batch selector: {batch!r}")

@@ -110,6 +110,28 @@ def test_run_writes_trajectories_and_summary(tmp_path, capsys):
     assert summary[2][6] == "3"
 
 
+def test_five_point_probe_past_the_float_range_is_a_rejected_fit(
+        tmp_path, capsys):
+    # 2 * eta overflows to inf for the outer probes: each of the three
+    # fits is rejected and eta stays put, instead of an unexpected error
+    cfg = _write_config(tmp_path, [{
+        "name": "huge-rate",
+        "problem": {"kind": "quadratic",
+                    "matrix_a": [[1.0e-300, 0.0], [0.0, 1.0e-300]]},
+        "optimizer": {"kind": "sgd"},
+        "iterations": 3,
+        "gen": {"eta0": 1.0e308, "probe_points": 5, "phi": 1},
+    }])
+    assert main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    summary = _read_csv(tmp_path / "out" / "summary.csv")
+    row = dict(zip(summary[0], summary[1]))
+    assert row["status"] == "ok"
+    assert (row["fit_attempts"], row["fits_accepted"],
+            row["fits_rejected"]) == ("3", "0", "3")
+    assert float(row["final_eta"]) == 1.0e308
+
+
 def test_run_is_byte_identical(tmp_path):
     cfg1 = _write_config(tmp_path, _basic_experiments(), name="c1.yaml",
                          output_dir=str(tmp_path / "o1"))

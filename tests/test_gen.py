@@ -1,12 +1,19 @@
 """Probe evaluation, quadratic curve fitting, guard logic, and the
 adaptive learning-rate controller."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import Concave1D, CountingObjective, Cubic1D, random_spd_problem
 from reference import fd5_eta, lqa3_eta
-from genopt.core import FULL_DATA, NonFiniteError, Objective
+from genopt.core import (
+    FULL_DATA,
+    DimensionMismatchError,
+    NonFiniteError,
+    Objective,
+)
 from genopt.gen import (
     CLAMP_FACTOR,
     ETA0_GRID,
@@ -90,8 +97,39 @@ class _BlowsUp(Objective):
 def test_probe_losses_nonfinite_raises_fit_rejection_error():
     with pytest.raises(NonFiniteProbeLoss):
         probe_losses(_BlowsUp(), np.array([1.0]), np.array([1.0]), 0.5)
+    # a point that overflows is rejected before the objective sees it
+    # (the quadratic's own check would raise a plain NonFiniteError)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteProbeLoss):
+            probe_losses(_unit_quadratic(), np.array([1e308]),
+                         np.array([-1e308]), 1.0, l_zero=1.0)
     # and that error is a NonFiniteError subtype so callers can treat both
     assert issubclass(NonFiniteProbeLoss, NonFiniteError)
+
+
+def test_probe_losses_offset_past_the_float_range_is_a_blown_up_probe():
+    # 2 * 1e308 is inf: the outer probes of a 5-point set have no point
+    counting = CountingObjective(_unit_quadratic())
+    with pytest.raises(NonFiniteProbeLoss):
+        probe_losses(counting, np.array([1.0]), np.array([1e-300]), 1e308,
+                     points=5)
+    assert counting.loss_calls == 0
+    # the same rate with 3 points stays inside the range
+    assert len(probe_losses(counting, np.array([1.0]), np.array([1e-300]),
+                            1e308)) == 3
+    # no point is formed from an infinite offset, whose product with a
+    # zero direction entry would be NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteProbeLoss):
+            probe_losses(counting, np.array([1.0]), np.array([0.0]), 1e308,
+                         points=5)
+
+
+def test_probe_losses_shape_mismatch():
+    p = _unit_quadratic()
+    with pytest.raises(DimensionMismatchError):
+        probe_losses(p, np.array([1.0]), np.array([1.0, 2.0]), 0.5)
 
 
 def test_probe_losses_zero_direction_is_flat():
@@ -422,6 +460,13 @@ def test_gen_update_uses_supplied_center_loss():
     ctrl = GenController(eta=0.1, phi=1, gamma=0.0)
     gen_update(ctrl, counting, np.array([1.0]), np.array([1.0]), l_zero=0.5)
     assert counting.loss_calls == 2
+
+
+def test_gen_update_fit_checks_the_direction_shape():
+    p = _unit_quadratic()
+    ctrl = GenController(eta=0.1, phi=1)
+    with pytest.raises(DimensionMismatchError):
+        gen_update(ctrl, p, np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_gen_update_hvp_needs_the_raw_gradient():

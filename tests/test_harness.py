@@ -1079,6 +1079,44 @@ def test_each_stop_records_the_step_that_blew_up(mode, stop):
     assert repr(dataclasses.astuple(result.records[-1])) == repr(expect[mode])
 
 
+class _Steep(Objective):
+    """A flat loss whose gradient is ``scale`` in each of two entries."""
+
+    dim = 2
+    default_start = np.zeros(2)
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def loss_grad(self, w, batch=FULL_DATA):
+        return 1.0, np.full(2, self.scale)
+
+    def loss(self, w, batch=FULL_DATA):
+        return 1.0
+
+
+def test_gradient_whose_square_sum_overflows_goes_on():
+    # every entry is finite, g . g is inf: the norm reads inf, as
+    # norm(g) does, and the run takes all its steps
+    spec = spec_from_dict(_minimal(iterations=3, eta=1e-300))
+    result = harness._execute(_Steep(1e200), lambda g, w, batch: g, spec)
+    assert result.status == "ok"
+    assert [r.grad_norm for r in result.records] == [math.inf] * 3
+    with np.errstate(over="ignore"):
+        assert norm(np.full(2, 1e200)) == math.inf
+    assert result.final_w.tolist() == [-3e-100, -3e-100]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_gradient_stops_the_run(bad):
+    spec = spec_from_dict(_minimal(iterations=3, eta=1e-3))
+    result = harness._execute(_Steep(bad), lambda g, w, batch: g, spec)
+    assert result.status == "diverged"
+    assert len(result.records) == 1
+    assert math.isnan(result.records[0].grad_norm)
+    assert result.final_w.tolist() == [0.0, 0.0]
+
+
 def test_run_batch_size_too_large():
     data = {
         "problem": {"kind": "logreg", "seed": 0, "n": 32, "d": 2},

@@ -228,3 +228,28 @@ def test_apply_step_basic_and_checks():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError):
             apply_step(np.array([1e308]), 1.0, np.array([-1e308]))
+
+
+def test_apply_step_finite_result_whose_dot_overflows_is_returned():
+    # w . w is inf here, though every entry is finite
+    w = np.array([1e200, -1e200])
+    with np.errstate(over="ignore"):
+        out = apply_step(w, 1.0, np.array([0.0, 1.0]))
+    assert out.tobytes() == np.array([1e200, -1e200 - 1.0]).tobytes()
+    assert apply_step(np.array([[1e200, 1.0]]), 0.5,
+                      np.array([[0.0, 2.0]])).tolist() == [[1e200, 0.0]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(2,), (1, 2)])
+def test_apply_step_nonfinite_result_raises(bad, shape):
+    d = np.zeros(shape)
+    d.flat[1] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            apply_step(np.zeros(shape), 1.0, d)
+    # the entry that blows up may sit next to one whose square overflows
+    d.flat[0] = 1e200
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteError):
+            apply_step(np.zeros(shape), 1.0, d)

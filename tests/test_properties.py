@@ -1,5 +1,6 @@
 """Property tests: controller invariants under arbitrary probe data and
-curvature, and the step-loop check helpers against the numpy calls they
+curvature, the step loop's lean cores against the public functions they
+serve, and the step-loop check helpers against the numpy calls they
 replace."""
 
 import math
@@ -13,13 +14,32 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from genopt.core import Objective, all_finite, norm  # noqa: E402
+from genopt.core import (  # noqa: E402
+    FULL_DATA,
+    Objective,
+    all_finite,
+    finite_array,
+    norm,
+)
 from genopt.gen import (  # noqa: E402
     CLAMP_FACTOR,
+    NO_ESTIMATE,
     REJECTED,
+    Estimate,
     GenController,
+    NonFiniteProbeLoss,
+    _estimate,
     fit_quadratic,
     gen_update,
+    probe_losses,
+)
+from genopt.optim import (  # noqa: E402
+    AdamWState,
+    SgdState,
+    _adamw_rule,
+    _sgd_rule,
+    adamw_direction,
+    sgd_direction,
 )
 
 PROPS = settings(max_examples=100, deadline=None)
@@ -163,6 +183,112 @@ def test_gen_update_off_schedule_leaves_eta_bits(eta, l_zero, phi):
 
 
 # ---------------------------------------------------------------------------
+# the step loop's cores against the public functions
+
+
+class _Cubic(Objective):
+    """c0 + c1 x + c2 x^2 + c3 x^3 in the entry sum x; overflows to inf or
+    nan, never raises."""
+
+    dim = 2
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def loss(self, w, batch=None):
+        x = float(w[0]) + float(w[1])
+        c0, c1, c2, c3 = self.coeffs
+        return c0 + x * (c1 + x * (c2 + x * c3))
+
+
+def _estimate_bits(e):
+    return (None if e.eta_candidate is None else _bits(e.eta_candidate),
+            e.fit_accepted,
+            None if e.fit_r2 is None else _bits(e.fit_r2))
+
+
+# the whole range, and the moderate values whose fits get accepted
+magnitudes = st.one_of(st.floats(min_value=1e-300, max_value=1e300),
+                       st.floats(min_value=1e-2, max_value=1e2))
+signed = st.builds(lambda m, s: m * s, magnitudes, st.sampled_from((-1, 1)))
+
+
+@PROPS
+@given(eta=magnitudes, points=st.sampled_from((3, 5)),
+       w=st.lists(signed, min_size=2, max_size=2),
+       d=st.lists(signed, min_size=2, max_size=2),
+       coeffs=st.lists(signed, min_size=4, max_size=4),
+       l_zero=st.one_of(st.none(), signed),
+       r2_threshold=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@example(eta=1e308, points=5, w=[1.0, 0.0], d=[1e-300, 0.0],
+         coeffs=[0.0, 0.0, 1.0, 0.0], l_zero=None, r2_threshold=0.99)
+@example(eta=0.5, points=3, w=[1.0, 0.0], d=[1.0, 0.0],
+         coeffs=[0.0, 0.0, 0.5, 0.0], l_zero=0.5, r2_threshold=0.99)
+@example(eta=0.5, points=5, w=[1.0, 0.0], d=[1.0, 0.0],
+         coeffs=[0.0, -1.0, 1.0, 5.0], l_zero=None, r2_threshold=0.5)
+def test_estimate_matches_fit_of_probe_losses(eta, points, w, d, coeffs,
+                                              l_zero, r2_threshold):
+    # _estimate's probe and fit cores give the candidate, r2 and verdict
+    # of the public functions, bit for bit
+    obj, w, d = _Cubic(coeffs), np.array(w), np.array(d)
+    ctrl = GenController(eta=eta, probe_points=points,
+                         r2_threshold=r2_threshold)
+    with np.errstate(all="ignore"):
+        got = _estimate(ctrl, obj, w, None, d, FULL_DATA, l_zero)
+        try:
+            fit = fit_quadratic(probe_losses(obj, w, d, eta, points=points,
+                                             l_zero=l_zero))
+        except NonFiniteProbeLoss:
+            want = NO_ESTIMATE
+        else:
+            candidate = fit.eta_candidate if fit.curvature != 0.0 else None
+            want = Estimate(candidate,
+                            (fit.curvature > 0.0 and fit.slope > 0.0
+                             and fit.r2 > r2_threshold
+                             and math.isfinite(candidate)), fit.r2)
+    assert _estimate_bits(got) == _estimate_bits(want)
+
+
+RULES = [(SgdState, sgd_direction, _sgd_rule),
+         (AdamWState, adamw_direction, _adamw_rule)]
+
+
+@st.composite
+def rule_cases(draw):
+    make, public, core = draw(st.sampled_from(RULES))
+    if make is SgdState:
+        settings_ = {"momentum": draw(st.floats(0.0, 0.99)),
+                     "weight_decay": draw(st.floats(0.0, 10.0))}
+    else:
+        settings_ = {"beta1": draw(st.floats(0.0, 0.99)),
+                     "beta2": draw(st.floats(0.0, 0.999)),
+                     "epsilon": draw(st.floats(1e-12, 1.0)),
+                     "weight_decay": draw(st.floats(0.0, 10.0))}
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.one_of(st.none(), st.integers(1, 4)))
+    shape = (dim,) if rows is None else (rows, dim)
+    steps = [(draw(hnp.arrays(np.float64, shape, elements=finite)),
+              draw(hnp.arrays(np.float64, shape, elements=finite)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return make, public, core, dim, rows, settings_, steps
+
+
+@PROPS
+@given(rule_cases())
+def test_rule_cores_match_public_rules(case):
+    make, public, core, dim, rows, settings_, steps = case
+    a = make(dim, rows=rows, **settings_)
+    b = make(dim, rows=rows, **settings_)
+    with np.errstate(all="ignore"):
+        for g, w in steps:
+            assert public(a, g, w).tobytes() == core(b, g, w).tobytes()
+    for name in ("velocity", "m", "v", "step_count"):
+        if hasattr(a, name):
+            assert (np.asarray(getattr(a, name)).tobytes()
+                    == np.asarray(getattr(b, name)).tobytes())
+
+
+# ---------------------------------------------------------------------------
 # core.all_finite and core.norm
 
 EDGE = [0.0, -0.0, 1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308,
@@ -179,6 +305,17 @@ float_arrays = hnp.arrays(
 @given(float_arrays)
 def test_all_finite_matches_numpy(arr):
     assert all_finite(arr) == bool(np.all(np.isfinite(arr)))
+
+
+@PROPS
+@given(float_arrays)
+@example(np.array([1e200, 1e200]))      # the square sum overflows
+@example(np.array([1e200, math.nan]))
+@example(np.array([math.inf, -math.inf]))
+@example(np.array([[1e200], [math.inf]]))
+def test_finite_array_matches_all_finite(arr):
+    with np.errstate(over="ignore"):
+        assert finite_array(arr) == all_finite(arr)
 
 
 @pytest.mark.parametrize("value", [
