@@ -17,7 +17,13 @@ more config whose adaptive experiments cover the gen settings no
 committed config takes (5-point probes, whose r2 column carries the
 fit's residual bits, phi > 1, decay, a low r2 threshold, the hvp
 estimator) on Rosenbrock, the quadratic and logreg with the full batch
-and with mini-batches. Exits 1 on any difference.
+and with mini-batches. Then, in one more subprocess per tree, run every
+experiment of the committed configs and of the adaptive-shapes config
+that `run` and `compare` accept through `genopt.harness.run_experiment`,
+and compare the sha256 of its iterates (`np.asarray(result.ws,
+dtype=np.float64).tobytes()`) and of `final_w.tobytes()`, so that a
+report of no differences also proves every iterate kept its bits.
+Exits 1 on any difference.
 Also prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
     python tools/same_outputs.py OLD/src NEW/src
@@ -150,6 +156,24 @@ ADAPTIVE_SHAPES = [
 ]
 
 
+# run in each tree's interpreter: one line per experiment with a rate
+# source, "config<TAB>name<TAB>sha256(ws)<TAB>sha256(final_w)"
+ITERATE_HASHES = """
+import hashlib, sys
+import numpy as np
+from genopt.cli import load_config
+from genopt.harness import run_experiment
+for path in sys.argv[1:]:
+    for spec in load_config(path).experiments:
+        if spec.eta is None and spec.gen is None:
+            continue  # a grid-search experiment: run and compare reject it
+        res = run_experiment(spec)
+        ws = np.asarray(res.ws, dtype=np.float64).tobytes()
+        print(path, spec.name, hashlib.sha256(ws).hexdigest(),
+              hashlib.sha256(res.final_w.tobytes()).hexdigest(), sep="\t")
+"""
+
+
 def invalid_configs():
     """Name -> config mapping, for every config that `run` or
     `grid-search` must reject."""
@@ -191,11 +215,12 @@ def outputs(src, tmp):
                                     "experiments": GRID_SHAPES}),
                     encoding="utf-8")
     cases.append(("grid-search", path))
-    path = Path(tmp, "adaptive_shapes.yaml")
-    path.write_text(yaml.safe_dump({"format_version": 1, "output_dir": "out",
-                                    "experiments": ADAPTIVE_SHAPES}),
-                    encoding="utf-8")
-    cases.append(("run", path))
+    adaptive = Path(tmp, "adaptive_shapes.yaml")
+    adaptive.write_text(yaml.safe_dump({"format_version": 1,
+                                        "output_dir": "out",
+                                        "experiments": ADAPTIVE_SHAPES}),
+                        encoding="utf-8")
+    cases.append(("run", adaptive))
     got = {}
     for cmd, cfg in cases:
         out = Path(tmp, cmd, cfg.stem)
@@ -208,7 +233,17 @@ def outputs(src, tmp):
                  out.is_dir())
         got[cmd, cfg.name] = (facts, {f.name: comparable(f)
                                       for f in sorted(out.glob("*.csv"))})
-    return got
+    return got, iterate_hashes(env, tmp, [*CONFIGS, adaptive])
+
+
+def iterate_hashes(env, tmp, configs):
+    """(config, experiment) -> (ws hash, final_w hash) from ITERATE_HASHES."""
+    proc = subprocess.run(
+        [sys.executable, "-c", ITERATE_HASHES, *map(str, configs)],
+        capture_output=True, env=env, cwd=tmp, check=True, text=True)
+    lines = (line.split("\t") for line in proc.stdout.splitlines())
+    return {(Path(cfg).name, name): (ws, final)
+            for cfg, name, ws, final in lines}
 
 
 def line_count(src):
@@ -218,7 +253,8 @@ def line_count(src):
 
 def main(old_src, new_src):
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        old, new = outputs(old_src, a), outputs(new_src, b)
+        (old, old_hashes), (new, new_hashes) = (outputs(old_src, a),
+                                                outputs(new_src, b))
     diffs, n_csv = [], 0
     for key, (facts, csvs) in old.items():
         facts2, csvs2 = new[key]
@@ -230,13 +266,19 @@ def main(old_src, new_src):
             n_csv += 1
             if csvs.get(name) != csvs2.get(name):
                 diffs.append(f"{key}: {name} differs")
+    for key in sorted(set(old_hashes) | set(new_hashes)):
+        for what, x, y in zip(("iterates", "final_w"),
+                              old_hashes.get(key, (None, None)),
+                              new_hashes.get(key, (None, None))):
+            if x != y:
+                diffs.append(f"{key}: {what} differ")
     for line in diffs:
         print(line)
     codes = sorted(Counter(facts[0] for facts, _ in old.values()).items())
     print(f"genopt/*.py lines: {line_count(old_src)} -> "
           f"{line_count(new_src)}")
-    print(f"{len(old)} commands, (exit code, count) {codes}, {n_csv} CSVs: "
-          f"{len(diffs)} differences")
+    print(f"{len(old)} commands, (exit code, count) {codes}, {n_csv} CSVs, "
+          f"{len(old_hashes)} experiments' iterates: {len(diffs)} differences")
     return 1 if diffs else 0
 
 
