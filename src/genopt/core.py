@@ -160,7 +160,7 @@ class Objective:
 # ---------------------------------------------------------------------------
 # iteration record
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One logged optimization step.
 

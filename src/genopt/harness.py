@@ -140,9 +140,12 @@ class RunResult:
 
     ``records`` holds one entry per logged step, ordered by step, each
     carrying the post-step loss on that step's batch; ``final_loss``
-    always equals the last record's loss. ``ws`` keeps every parameter
-    iterate including the start (so convergence metrics can see w0), and
-    ``gen_stats`` the controller's guard counters when a controller ran.
+    always equals the last record's loss. ``ws`` is one C-contiguous
+    (n_iterates, dim) float64 array: row 0 is the start (so convergence
+    metrics can see w0) and each later row the iterate of one successful
+    step, so a run keeps ``8 * dim`` bytes per step. ``final_w`` equals
+    its last row and is an array of its own. ``gen_stats`` holds the
+    controller's guard counters when a controller ran.
     """
 
     records: List[StepRecord]
@@ -150,7 +153,7 @@ class RunResult:
     final_loss: float
     wall_time: float
     status: str = "ok"
-    ws: List[Array] = field(default_factory=list)
+    ws: Array = field(default_factory=lambda: np.empty((0, 0)))
     gen_stats: Optional[Dict[str, int]] = None
 
 
@@ -523,8 +526,10 @@ def _start(problem: Objective, spec: ExperimentSpec) -> Array:
 def _execute(problem: Objective, direction_fn: Callable,
              spec: ExperimentSpec) -> RunResult:
     t_begin = time.perf_counter()
+    # nothing writes into an iterate: _start and apply_step each return a
+    # fresh array, so ws holds the iterates themselves until the run ends
     w = _start(problem, spec)
-    ws = [w.copy()]
+    ws = [w]
     records: List[StepRecord] = []
     status = "ok"
     # an adaptive run has no rate until its first step resolves eta0
@@ -580,7 +585,7 @@ def _execute(problem: Objective, direction_fn: Callable,
                 except NonFiniteError:
                     ok = False
             if ok:
-                ws.append(w.copy())
+                ws.append(w)
                 # on the full batch the post-step (loss, grad) is the next
                 # step's start
                 if spec.batch_size is None and t < spec.iterations:
@@ -603,7 +608,7 @@ def _execute(problem: Objective, direction_fn: Callable,
     final_loss = records[-1].loss if records else math.nan
     return RunResult(records=records, final_w=w, final_loss=final_loss,
                      wall_time=time.perf_counter() - t_begin, status=status,
-                     ws=ws, gen_stats=gen_stats)
+                     ws=np.array(ws), gen_stats=gen_stats)
 
 
 def require_eta_or_gen(spec: ExperimentSpec) -> None:
@@ -752,7 +757,9 @@ def convergence_metrics(result: RunResult, optimum
     iterations-to-tolerance.
     """
     w_star = as_param_vector(optimum)
-    errs = [norm(w - w_star) for w in result.ws]
+    # each row of the difference is contiguous, so its norm has the bits
+    # of the norm of that iterate's own difference vector
+    errs = [norm(e) for e in result.ws - w_star]
     iters: Optional[int] = None
     if result.status == "ok":
         for i, e in enumerate(errs):

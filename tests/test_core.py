@@ -1,5 +1,8 @@
 """Vector plumbing, batch descriptors, and the objective base class."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,5 +95,17 @@ def test_step_record_defaults_and_frozen():
     assert r.eta_candidate is None
     assert r.fit_accepted is False
     assert r.fit_r2 is None
-    with pytest.raises(Exception):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         r.loss = 1.0
+    # slotted: a run keeps no instance dictionary per step
+    assert not hasattr(r, "__dict__")
+    full = StepRecord(3, 0.25, 0.5, 1.5, 0.75, True, 0.99)
+    # --jobs workers send records between processes
+    for rec in (r, full):
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and hash(back) == hash(rec)
+        assert repr(back) == repr(rec)
+        assert dataclasses.astuple(back) == dataclasses.astuple(rec)
+    assert dataclasses.asdict(full) == {
+        "step": 3, "loss": 0.25, "eta": 0.5, "grad_norm": 1.5,
+        "eta_candidate": 0.75, "fit_accepted": True, "fit_r2": 0.99}

@@ -1036,47 +1036,86 @@ class _ScaledSlice(Objective):
 # with loss 4900.5 and step 2 sees the gradient -99. The adaptive run
 # (eta0 1, gamma 0, phi 2) fits on step 2: the probes at u = 0, 1, 2 give
 # the candidate 99, clamped to eta 10; a step-2 direction of -4 S gives
-# the candidate 24.75, also clamped to 10, and a step to u = 41.
+# the candidate 24.75, also clamped to 10, and a step to u = 41. The last
+# entry counts the iterates kept: the start and each step that stepped,
+# the one a post-step loss stops included.
 _STOPS = {
     "loss": ({1: (math.inf, np.array([-100.0]))}, {},
              {"fixed": (1, math.inf, 1.0, math.nan, None, False, None),
               "adaptive": (1, math.inf, math.nan, math.nan, None, False,
-                           None)}),
+                           None)}, 1),
     "grad": ({2: (4900.5, np.array([math.nan]))}, {},
              {"fixed": (2, 4900.5, 1.0, math.nan, None, False, None),
-              "adaptive": (2, 4900.5, 1.0, math.nan, None, False, None)}),
+              "adaptive": (2, 4900.5, 1.0, math.nan, None, False, None)}, 2),
     "direction": ({}, {2: {"fixed": math.inf, "adaptive": math.inf}},
                   {"fixed": (2, 4900.5, 1.0, 99.0, None, False, None),
-                   "adaptive": (2, 4900.5, 1.0, 99.0, None, False, None)}),
+                   "adaptive": (2, 4900.5, 1.0, 99.0, None, False, None)},
+                  2),
     "step": ({}, {2: {"fixed": -31 * S, "adaptive": -4 * S}},
              {"fixed": (2, 4900.5, 1.0, 99.0, None, False, None),
-              "adaptive": (2, 4900.5, 10.0, 99.0, 24.75, True, 1.0)}),
+              "adaptive": (2, 4900.5, 10.0, 99.0, 24.75, True, 1.0)}, 2),
     "post": ({3: (2e12, np.array([-89.0]))}, {},
              {"fixed": (2, 2e12, 1.0, 99.0, None, False, None),
-              "adaptive": (2, 2e12, 10.0, 99.0, 99.0, True, 1.0)}),
+              "adaptive": (2, 2e12, 10.0, 99.0, 99.0, True, 1.0)}, 3),
 }
 
 
-@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-@pytest.mark.parametrize("stop", list(_STOPS))
-def test_each_stop_records_the_step_that_blew_up(mode, stop):
-    losses, directions, expect = _STOPS[stop]
-    steps = []
+def _scripted_run(mode, losses, directions):
+    """``_execute`` on ``_ScaledSlice(losses)`` for 3 steps, logging each,
+    with step t's direction ``directions[t][mode]`` (default -S); returns
+    the result and the directions handed out."""
+    handed = []
 
     def direction_fn(g, w, batch):
-        steps.append(len(steps) + 1)
-        return np.array([directions.get(steps[-1], {}).get(mode, -S)])
+        step = len(handed) + 1
+        handed.append(np.array([directions.get(step, {}).get(mode, -S)]))
+        return handed[-1]
 
     if mode == "fixed":
         drive = {"eta": 1.0}
     else:
         drive = {"eta": None, "gen": {"eta0": 1.0, "gamma": 0.0, "phi": 2}}
     spec = spec_from_dict(_minimal(iterations=3, **drive))
-    result = harness._execute(_ScaledSlice(losses), direction_fn, spec)
+    return (harness._execute(_ScaledSlice(losses), direction_fn, spec),
+            handed)
+
+
+def _check_iterates(result, directions, rows):
+    # ws is one array of the start and the ``rows - 1`` stepped iterates,
+    # each with the bits of stepping the previous one by its record's rate
+    ws = result.ws
+    assert type(ws) is np.ndarray and ws.dtype == np.float64
+    assert ws.flags.c_contiguous and ws.shape == (rows, 1)
+    ref = [np.array([0.0])]
+    for rec, d in zip(result.records[:rows - 1], directions):
+        ref.append(ref[-1] - rec.eta * d)
+    assert ws.tobytes() == np.array(ref).tobytes()
+    # final_w is the last row, held apart from ws
+    assert ws[-1].tobytes() == result.final_w.tobytes()
+    last = ws[-1].copy()
+    result.final_w[0] = 12345.0
+    assert ws[-1].tobytes() == last.tobytes()
+    ws[-1] = 54321.0
+    assert result.final_w.tolist() == [12345.0]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+@pytest.mark.parametrize("stop", list(_STOPS))
+def test_each_stop_records_the_step_that_blew_up(mode, stop):
+    losses, directions, expect, rows = _STOPS[stop]
+    result, handed = _scripted_run(mode, losses, directions)
     assert result.status == "diverged"
     assert len(result.records) == expect[mode][0]
     # repr spells nan, inf and None exactly
     assert repr(dataclasses.astuple(result.records[-1])) == repr(expect[mode])
+    _check_iterates(result, handed, rows)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_ok_run_keeps_every_iterate(mode):
+    result, handed = _scripted_run(mode, {}, {})
+    assert result.status == "ok" and len(result.records) == 3
+    _check_iterates(result, handed, 4)
 
 
 class _Steep(Objective):
@@ -1646,6 +1685,43 @@ def test_convergence_metrics_diverged_has_no_iters():
                                                     iterations=100)))
     iters, _ = convergence_metrics(result, [1.0, 1.0])
     assert iters is None
+
+
+def _metrics_reference(result, optimum):
+    # convergence_metrics as one norm per iterate, looped in Python
+    errs = [norm(w - np.asarray(optimum, dtype=np.float64))
+            for w in result.ws]
+    iters = None
+    if result.status == "ok":
+        iters = next((i for i, e in enumerate(errs) if e <= CONVERGENCE_TOL),
+                     None)
+    ratios = []
+    for e, e_next in zip(errs, errs[1:]):
+        if e == 0.0:
+            break
+        ratios.append(e_next / e ** 2)
+    return iters, ratios
+
+
+@pytest.mark.parametrize("config, optimum, rows", [
+    # linear convergence: no error is exactly zero, so every row counts
+    ({"problem": {"kind": "quadratic", "matrix_a": [[1.0, 0.0], [0.0, 2.0]],
+                  "offset": [1.0, -2.0]},
+      "optimizer": {"kind": "sgd"}, "eta": 0.3, "iterations": 60,
+      "start_point": [0.0, 0.0]}, [1.0, -2.0], 61),
+    # the first step overflows: only the start is kept
+    (_minimal(eta=1e308), [1.0, 1.0], 1),
+], ids=["converged", "diverged-at-start"])
+def test_convergence_metrics_match_a_norm_per_iterate(config, optimum, rows):
+    result = run_experiment(spec_from_dict(config))
+    assert result.ws.shape == (rows, 2)
+    iters, ratios = convergence_metrics(result, optimum)
+    assert (iters, ratios) == _metrics_reference(result, optimum)
+    assert len(ratios) == rows - 1
+    if rows > 1:
+        assert result.status == "ok" and iters is not None
+    else:
+        assert result.status == "diverged" and iters is None
 
 
 def test_convergence_tolerance_constant():
