@@ -100,6 +100,16 @@ BAD_EXPERIMENTS = {
     "batch-size.too-large": {"batch_size": 51},
     "grid.gen-not-allowed": {"eta": None, "gen": {}},
     "grid.optimizer": {"optimizer": {"kind": "newton"}},
+    # values the library constructors once accepted and a config rejects
+    "gen.phi-fraction": {"eta": None, "gen": {"phi": 2.5}},
+    "optimizer.weight-decay-inf": {"optimizer": {
+        "kind": "sgd", "weight_decay": float("inf")}},
+    "optimizer.epsilon-inf": {"optimizer": {"kind": "adamw",
+                                            "epsilon": float("inf")}},
+    "post.max-norm-inf": {"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "clip", "max_norm": float("inf")}}},
+    "problem.l2-inf": {"problem": dict(LOGREG, l2_penalty=float("inf"))},
+    "batch-size-fraction": {"batch_size": 2.5},
 }
 
 
