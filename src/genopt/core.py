@@ -1,5 +1,5 @@
-"""Shared primitives: parameter vectors, the objective contract, batch
-selection, and per-iteration records.
+"""Shared primitives: parameter vectors, the settings table, the objective
+contract, batch selection, and per-iteration records.
 
 Parameter vectors are plain 1-D float64 numpy arrays treated as immutable
 values: every public operation returns a fresh array and validates that the
@@ -79,6 +79,69 @@ def check_finite(arr: Array, what: str) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# settings
+
+def _is_num(x) -> bool:
+    # a real number, numpy scalars included, and never a bool
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
+
+
+def _is_finite_num(x) -> bool:
+    try:
+        return _is_num(x) and math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1", False)
+_SEED = (lambda v: _is_int(v) and v >= 0, "a non-negative integer", False)
+_UNIT = (lambda v: _is_num(v) and 0.0 <= v < 1.0, "in [0, 1)", True)
+_AT_LEAST_0 = (lambda v: _is_finite_num(v) and v >= 0,
+               "a finite number >= 0", True)
+_ABOVE_0 = (lambda v: _is_finite_num(v) and v > 0, "a finite number > 0", True)
+
+# config section -> setting -> (test, requirement, takes_float_hint), in
+# check order; "" is the experiment root. A library argument that is also
+# a setting checks through the same entry (``check_setting``).
+# takes_float_hint marks the numbers a config may have written as a string
+# that YAML 1.1 does not read as a float.
+SETTINGS = {
+    "problem.": dict(seed=_SEED, n=(lambda v: _is_int(v) and v >= 2,
+                                    "an integer >= 2", False),
+                     d=_COUNT, l2_penalty=_AT_LEAST_0),
+    "optimizer.": dict(momentum=_UNIT, beta1=_UNIT, beta2=_UNIT,
+                       weight_decay=_AT_LEAST_0, epsilon=_ABOVE_0),
+    "post.": dict(max_norm=_ABOVE_0),
+    "gen.": dict(
+        eta0=(lambda v: v == "auto" or _ABOVE_0[0](v),
+              "a positive finite number or 'auto'", True),
+        gamma=_UNIT, phi=_COUNT,
+        probe_points=(lambda v: _is_int(v) and v in (3, 5), "3 or 5", False),
+        r2_threshold=(lambda v: _is_num(v) and 0.0 < v <= 1.0, "in (0, 1]",
+                      True),
+        decay=(lambda v: isinstance(v, bool), "a boolean", False),
+        estimator=(lambda v: v in ("fit", "hvp"), "'fit' or 'hvp'", False)),
+    "": dict(iterations=_COUNT, seed=_SEED, log_every=_COUNT,
+             eta=(_ABOVE_0[0], "a positive finite number", True),
+             batch_size=_COUNT),
+}
+
+
+def check_setting(section: str, key: str, value, name: Optional[str] = None):
+    """Raise ``ValueError("<name> must be <requirement>")`` unless ``value``
+    passes the rule of ``SETTINGS[section][key]``; ``name`` defaults to
+    ``key``."""
+    test, requirement, _ = SETTINGS[section][key]
+    if not test(value):
+        raise ValueError(f"{name or key} must be {requirement}")
+
+
+# ---------------------------------------------------------------------------
 # batch selection
 
 @dataclass(frozen=True)
@@ -98,8 +161,8 @@ class SyntheticNoise:
     batch_size: int
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_setting("problem.", "seed", self.seed)
+        check_setting("", "batch_size", self.batch_size)
 
 
 BatchSelector = Union[FullData, SyntheticNoise]

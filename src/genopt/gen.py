@@ -19,7 +19,6 @@ eta = -h evaluates L(w + h * d).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -32,6 +31,7 @@ from .core import (
     DimensionMismatchError,
     NonFiniteError,
     Objective,
+    check_setting,
     finite_array,
 )
 from .optim import apply_step
@@ -83,8 +83,7 @@ def probe_losses(obj: Objective, w: Array, direction: Array, eta_prev: float,
     point is not finite, so callers can treat a blown-up probe as a
     rejected fit rather than a crash.
     """
-    if not isinstance(points, numbers.Integral) or points not in (3, 5):
-        raise ValueError(f"points must be 3 or 5, got {points}")
+    check_setting("gen.", "probe_points", points, "points")
     if not (eta_prev > 0 and math.isfinite(eta_prev)):
         raise ValueError(f"eta_prev must be positive and finite, got {eta_prev}")
     w, d = _operands(w, direction)
@@ -238,19 +237,11 @@ class GenController:
     def __post_init__(self):
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError("eta must be positive and finite")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
-        if self.phi < 1:
-            raise ValueError("phi must be >= 1")
-        if (not isinstance(self.probe_points, numbers.Integral)
-                or self.probe_points not in (3, 5)):
-            raise ValueError("probe_points must be 3 or 5")
-        if not 0.0 < self.r2_threshold <= 1.0:
-            raise ValueError("r2_threshold must be in (0, 1]")
+        for key in ("gamma", "phi", "probe_points", "r2_threshold",
+                    "estimator"):
+            check_setting("gen.", key, getattr(self, key))
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1 when set")
-        if self.estimator not in ("fit", "hvp"):
-            raise ValueError("estimator must be 'fit' or 'hvp'")
 
     @property
     def fits_rejected(self) -> int:

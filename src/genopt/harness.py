@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    SETTINGS,
     Array,
     BatchSelector,
     FULL_DATA,
@@ -26,6 +27,7 @@ from .core import (
     Objective,
     StepRecord,
     SyntheticNoise,
+    _is_finite_num,
     all_finite,
     as_param_vector,
     finite_array,
@@ -66,15 +68,9 @@ CONVERGENCE_TOL = 1e-6
 # baseline tuning grid: {1, 2, 5} x 10^-k for k = 5 .. 0, ascending
 LR_GRID = tuple(m * 10.0 ** -k for k in range(5, -1, -1) for m in (1.0, 2.0, 5.0))
 
-_GEN_DEFAULTS = {
-    "eta0": "auto",
-    "gamma": 0.9,
-    "phi": 8,
-    "probe_points": 3,
-    "r2_threshold": 0.99,
-    "decay": False,
-    "estimator": "fit",
-}
+# defaults of the gen settings GenController does not take; the
+# controller declares the others
+_GEN_DEFAULTS = {"eta0": "auto", "decay": False}
 
 _PROBLEM_KINDS = ("rosenbrock", "beale", "quadratic", "logreg")
 _OPTIMIZER_KINDS = ("sgd", "adamw", "newton")
@@ -160,21 +156,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # validation
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_finite_num(x) -> bool:
-    try:
-        return _is_num(x) and math.isfinite(x)
-    except OverflowError:  # an int past the float range
-        return False
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _float_hint(value) -> str:
     """Why a numeric field that holds a string, such as YAML 1.1's
     reading of ``1e-5``, is rejected; empty for anything else."""
@@ -192,47 +173,15 @@ def _float_hint(value) -> str:
             f"a dot and, if it has one, a signed exponent: write {text})")
 
 
-_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1", False)
-_SEED = (lambda v: _is_int(v) and v >= 0, "a non-negative integer", False)
-_UNIT = (lambda v: _is_num(v) and 0.0 <= v < 1.0, "in [0, 1)", True)
-_AT_LEAST_0 = (lambda v: _is_finite_num(v) and v >= 0,
-               "a finite number >= 0", True)
-_ABOVE_0 = (lambda v: _is_finite_num(v) and v > 0, "a finite number > 0", True)
-
-# section -> field -> (test, requirement, takes_float_hint), in check order;
-# "" is the experiment root, where an explicit null leaves eta and
-# batch_size unset
-_FIELD_RULES = {
-    "problem.": dict(seed=_SEED, n=(lambda v: _is_int(v) and v >= 2,
-                                    "an integer >= 2", False),
-                     d=_COUNT, l2_penalty=_AT_LEAST_0),
-    "optimizer.": dict(momentum=_UNIT, beta1=_UNIT, beta2=_UNIT,
-                       weight_decay=_AT_LEAST_0, epsilon=_ABOVE_0),
-    "post.": dict(max_norm=_ABOVE_0),
-    "gen.": dict(
-        eta0=(lambda v: v == "auto" or _ABOVE_0[0](v),
-              "a positive finite number or 'auto'", True),
-        gamma=_UNIT, phi=_COUNT,
-        probe_points=(lambda v: _is_int(v) and v in (3, 5), "3 or 5", False),
-        r2_threshold=(lambda v: _is_num(v) and 0.0 < v <= 1.0, "in (0, 1]",
-                      True),
-        decay=(lambda v: isinstance(v, bool), "a boolean", False),
-        estimator=(lambda v: v in ("fit", "hvp"), "'fit' or 'hvp'", False)),
-    "": dict(iterations=_COUNT, seed=_SEED, log_every=_COUNT,
-             eta=(lambda v: v is None or _ABOVE_0[0](v),
-                  "a positive finite number", True),
-             batch_size=(lambda v: v is None or _COUNT[0](v),
-                         "an integer >= 1", False)),
-}
-
-
 def _check_fields(data: Dict, section: str, where: str, keys=None):
-    """Check every field of ``section`` (only ``keys``, when given) that
-    ``data`` sets, in table order."""
-    rules = _FIELD_RULES[section]
+    """Check every ``SETTINGS`` field of ``section`` (only ``keys``, when
+    given) that ``data`` sets, in table order. At the experiment root an
+    explicit null leaves eta and batch_size unset."""
+    rules = SETTINGS[section]
     for key in keys or rules:
         test, requirement, takes_float_hint = rules[key]
-        if key in data and not test(data[key]):
+        if key in data and not test(data[key]) and not (
+                data[key] is None and key in ("eta", "batch_size")):
             code = "l2" if key == "l2_penalty" else key.replace("_", "-")
             hint = _float_hint(data[key]) if takes_float_hint else ""
             raise SpecError(f"config.{section}{code}",
@@ -292,7 +241,7 @@ def _validate_problem(data: Dict, where: str) -> Dict:
                     ("kind", "seed", "n", "d"), where)
         _check_fields(data, "problem.", where)
         limit = np.iinfo(np.intp).max // 8  # float64 values numpy can address
-        if data["n"] * data["d"] > limit:
+        if int(data["n"]) * int(data["d"]) > limit:
             raise SpecError("config.problem.size",
                             f"n * d at {where} must be at most {limit}, the "
                             f"float64 values an array can address (got "
@@ -361,7 +310,7 @@ def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
 
 
 def _validate_gen(data: Dict, where: str) -> Dict:
-    _check_keys(data, _GEN_DEFAULTS, (), where)
+    _check_keys(data, SETTINGS["gen."], (), where)
     _check_fields(data, "gen.", where)
     return dict(_GEN_DEFAULTS, **data)
 
@@ -570,12 +519,13 @@ def _execute(problem: Objective, direction_fn: Callable,
                 except NonFiniteError:  # every starting-rate probe blew up
                     ok = False
                 else:
+                    # the mapping's own settings; the controller
+                    # declares the defaults
                     ctrl = GenController(
-                        eta=eta, gamma=spec.gen["gamma"], phi=spec.gen["phi"],
-                        probe_points=spec.gen["probe_points"],
-                        r2_threshold=spec.gen["r2_threshold"],
+                        eta=eta,
                         horizon=spec.iterations if spec.gen["decay"] else None,
-                        estimator=spec.gen["estimator"])
+                        **{k: v for k, v in spec.gen.items()
+                           if k not in _GEN_DEFAULTS})
             if ok:
                 if ctrl is not None:
                     eta, estimate = gen_update(ctrl, problem, w, d, batch,

@@ -23,7 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Array, DimensionMismatchError, check_finite, norm
+from .core import (Array, DimensionMismatchError, check_finite,
+                   check_setting, norm)
 
 
 @dataclass
@@ -39,10 +40,8 @@ class SgdState:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
+        for key in ("momentum", "weight_decay"):
+            check_setting("optimizer.", key, getattr(self, key))
         self.velocity = np.zeros(_shape(self))
 
     def keep(self, rows) -> None:
@@ -68,14 +67,8 @@ class AdamWState:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError("beta1 must be in [0, 1)")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta2 must be in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
+        for key in ("beta1", "beta2", "weight_decay", "epsilon"):
+            check_setting("optimizer.", key, getattr(self, key))
         self.m = np.zeros(_shape(self))
         self.v = np.zeros(_shape(self))
 
@@ -153,8 +146,7 @@ class ClipToNorm:
     max_norm: float
 
     def __post_init__(self):
-        if not self.max_norm > 0:
-            raise ValueError("max_norm must be > 0")
+        check_setting("post.", "max_norm", self.max_norm)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import (
     Objective,
     SyntheticNoise,
     as_param_vector,
+    check_setting,
 )
 
 
@@ -151,8 +152,7 @@ class LogisticRegressionProblem(Objective):
             raise ValueError("labels must match the number of feature rows")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be binary (0/1)")
-        if not l2_penalty >= 0:
-            raise ValueError("l2_penalty must be >= 0")
+        check_setting("problem.", "l2_penalty", l2_penalty)
         self.features = x
         self.labels = y.astype(np.int64)
         self.l2_penalty = float(l2_penalty)
@@ -243,8 +243,8 @@ def generate_dataset(seed: int, n: int, d: int,
     separator drawn from the same seed, and labels flipped with probability
     0.05. The same seed reproduces the dataset bit for bit.
     """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 samples and d >= 1 features")
+    for key, value in (("seed", seed), ("n", n), ("d", d)):
+        check_setting("problem.", key, value)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     w_true = rng.standard_normal(d)

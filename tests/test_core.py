@@ -16,6 +16,7 @@ from genopt.core import (
     SyntheticNoise,
     as_param_vector,
     check_finite,
+    check_setting,
 )
 
 
@@ -53,8 +54,25 @@ def test_check_finite_passthrough_and_raise():
 def test_synthetic_noise_validation():
     b = SyntheticNoise(seed=5, batch_size=16)
     assert b.seed == 5 and b.batch_size == 16
+    SyntheticNoise(seed=np.uint32(7), batch_size=np.int64(4))
     with pytest.raises(ValueError):
         SyntheticNoise(seed=0, batch_size=0)
+    # a negative seed once built fine and failed inside numpy on first use
+    with pytest.raises(ValueError) as e:
+        SyntheticNoise(seed=-1, batch_size=4)
+    assert str(e.value) == "seed must be a non-negative integer"
+
+
+def test_check_setting_takes_numpy_scalars_and_names_the_argument():
+    check_setting("gen.", "phi", np.int64(3))
+    check_setting("optimizer.", "momentum", np.float32(0.5))
+    for value in (True, np.bool_(True), 2.5, "8", None, 0):
+        with pytest.raises(ValueError) as e:
+            check_setting("gen.", "phi", value)
+        assert str(e.value) == "phi must be an integer >= 1"
+    with pytest.raises(ValueError) as e:
+        check_setting("gen.", "probe_points", 4, "points")
+    assert str(e.value) == "points must be 3 or 5"
 
 
 def test_full_data_singleton_type():

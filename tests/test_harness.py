@@ -12,8 +12,8 @@ import pytest
 import yaml
 
 from genopt import cli, harness, kernels
-from genopt.core import FULL_DATA, Objective, norm
-from genopt.gen import ETA0_GRID
+from genopt.core import FULL_DATA, Objective, SyntheticNoise, norm
+from genopt.gen import ETA0_GRID, GenController, probe_losses
 from genopt.harness import (
     CONVERGENCE_TOL,
     DIVERGENCE_LOSS,
@@ -27,6 +27,7 @@ from genopt.harness import (
     run_experiment,
     spec_from_dict,
 )
+from genopt.optim import AdamWState, ClipToNorm, SgdState
 from genopt.problems import QuadraticProblem, generate_dataset
 from reference import error_scaling_study
 
@@ -552,6 +553,20 @@ _FIELD_GOLDEN = [
      "'rosenbrock' is deterministic"),
     ("", "batch_size", 0, "config.batch-size",
      "batch_size at experiment must be an integer >= 1"),
+    # values a library constructor once accepted
+    ("problem", "l2_penalty", math.inf, "config.problem.l2",
+     "l2_penalty at experiment.problem must be a finite number >= 0"),
+    ("optimizer", "weight_decay", math.inf, "config.optimizer.weight-decay",
+     "weight_decay at experiment.optimizer must be a finite number >= 0"),
+    ("optimizer", "epsilon", math.inf, "config.optimizer.epsilon",
+     "epsilon at experiment.optimizer must be a finite number > 0"),
+    ("post", "max_norm", math.inf, "config.post.max-norm",
+     "max_norm at experiment.optimizer.post_process must be a "
+     "finite number > 0"),
+    ("gen", "phi", 2.5, "config.gen.phi",
+     "phi at experiment.gen must be an integer >= 1"),
+    ("", "batch_size", 2.5, "config.batch-size",
+     "batch_size at experiment must be an integer >= 1"),
 ]
 
 
@@ -565,6 +580,62 @@ def _golden_id(case):
                          ids=[_golden_id(c) for c in _FIELD_GOLDEN])
 def test_field_messages_are_pinned(section, key, value, code, message):
     assert _outcome(_field_input(section, key, value)) == (code, message)
+
+
+def _library_sites(section, key):
+    """(site, argument, build from a value) for each library argument that
+    takes the config setting ``key`` of ``section``. Root iterations,
+    log_every and eta and gen eta0 and decay have none."""
+    if section == "problem":
+        return [("generate_dataset", key, lambda v: generate_dataset(
+            **{"seed": 0, "n": 50, "d": 2, key: v}))]
+    if section == "optimizer":
+        return [(make.__name__, key, lambda v, make=make: make(2, **{key: v}))
+                for make in (SgdState, AdamWState)
+                if key in {f.name for f in dataclasses.fields(make)}]
+    if section == "post":
+        return [("ClipToNorm", key, ClipToNorm)]
+    sites = []
+    if section == "gen" and key not in ("eta0", "decay"):
+        sites.append(("GenController", key,
+                      lambda v: GenController(eta=0.1, **{key: v})))
+    if key == "probe_points":
+        one = QuadraticProblem([[1.0]])
+        sites.append(("probe_losses", "points", lambda v: probe_losses(
+            one, np.ones(1), np.ones(1), 0.5, points=v)))
+    if (section, key) == ("", "seed"):
+        sites.append(("SyntheticNoise", key,
+                      lambda v: SyntheticNoise(seed=v, batch_size=1)))
+    if (section, key) == ("", "batch_size"):
+        # a null batch_size runs on the full batch
+        sites.append(("SyntheticNoise", key, lambda v: FULL_DATA if v is None
+                      else SyntheticNoise(seed=0, batch_size=v)))
+    return sites
+
+
+# the golden cases a library argument can meet: every one but the n * d
+# size and a batch size on a deterministic problem, which check two
+# settings together
+_LIBRARY_CASES = [
+    (site, arg, build, case) for case in _FIELD_GOLDEN
+    if case[3] not in ("config.problem.size",
+                       "config.batch-size.not-stochastic")
+    for site, arg, build in _library_sites(*case[:2])]
+
+
+@pytest.mark.parametrize(
+    "arg, build, case", [c[1:] for c in _LIBRARY_CASES],
+    ids=[f"{_golden_id(c[3])}-{c[0]}" for c in _LIBRARY_CASES])
+def test_library_rejects_what_a_config_rejects(arg, build, case):
+    # the same rule, so the same verdict and requirement on every value
+    code, message = case[3:]
+    if code is None:
+        build(case[2])
+        return
+    requirement = message.split(" must be ", 1)[1].split(" (got the")[0]
+    with pytest.raises(ValueError) as e:
+        build(case[2])
+    assert str(e.value) == f"{arg} must be {requirement}"
 
 
 def _post(**post):
@@ -842,17 +913,40 @@ def test_load_config_parse_message_is_pinned(tmp_path):
         "config.parse", f"cannot parse {path}: {parsed.value}")
 
 
+def test_numpy_scalars_pass_as_config_values():
+    # the settings rules take numpy scalars, as the library does
+    data = _minimal(problem={"kind": "logreg", "seed": np.int64(1),
+                             "n": np.int64(40), "d": np.int32(2)},
+                    iterations=np.int64(3), batch_size=np.int64(8))
+    data["optimizer"] = {"kind": "sgd", "momentum": np.float32(0.5)}
+    want = _minimal(problem={"kind": "logreg", "seed": 1, "n": 40, "d": 2},
+                    iterations=3, batch_size=8)
+    want["optimizer"] = {"kind": "sgd", "momentum": 0.5}
+    assert (run_experiment(spec_from_dict(data)).records
+            == run_experiment(spec_from_dict(want)).records)
+    # n * d is taken in Python integers, so it cannot wrap around
+    huge = np.int64(2 ** 40)
+    assert _outcome(_minimal(problem=dict(_LOGREG, n=huge, d=huge)))[0] == (
+        "config.problem.size")
+
+
 def test_gen_defaults_fill_in():
-    base = _minimal(gen={})
+    # a config fills in the two settings the controller does not take; the
+    # controller declares the others, and a run that spells them out
+    # records the same steps
+    base = _minimal(gen={}, iterations=40)
     del base["eta"]
     spec = spec_from_dict(base)
-    assert spec.gen["eta0"] == "auto"
-    assert spec.gen["gamma"] == 0.9
-    assert spec.gen["phi"] == 8
-    assert spec.gen["probe_points"] == 3
-    assert spec.gen["r2_threshold"] == 0.99
-    assert spec.gen["decay"] is False
-    assert spec.gen["estimator"] == "fit"
+    assert spec.gen == {"eta0": "auto", "decay": False}
+    ctrl = GenController(eta=1.0)
+    assert (ctrl.gamma, ctrl.phi, ctrl.probe_points, ctrl.r2_threshold,
+            ctrl.horizon, ctrl.estimator) == (0.9, 8, 3, 0.99, None, "fit")
+    spelled = dict(base, gen={"eta0": "auto", "gamma": 0.9, "phi": 8,
+                              "probe_points": 3, "r2_threshold": 0.99,
+                              "decay": False, "estimator": "fit"})
+    ran = run_experiment(spec)
+    assert ran.gen_stats["fit_attempts"] == 5
+    assert ran.records == run_experiment(spec_from_dict(spelled)).records
 
 
 def test_build_problem_kinds():
