@@ -110,6 +110,25 @@ BAD_EXPERIMENTS = {
         "kind": "clip", "max_norm": float("inf")}}},
     "problem.l2-inf": {"problem": dict(LOGREG, l2_penalty=float("inf"))},
     "batch-size-fraction": {"batch_size": 2.5},
+    # each kind's own key errors; safe_dump writes a mapping's keys sorted,
+    # so a kind that names its first extra key in sorted order meets them
+    # in that order here
+    "problem.rosenbrock-key": {"problem": {"kind": "rosenbrock", "seed": 0,
+                                           "n": 4}},
+    "problem.quadratic-key": {"problem": {"kind": "quadratic",
+                                          "matrix_a": [[1.0]], "seed": 0}},
+    "problem.quadratic-missing-matrix": {"problem": {"kind": "quadratic"}},
+    "optimizer.newton-key": {"optimizer": {"kind": "newton",
+                                           "momentum": 0.9}},
+    "post.clip-missing-max-norm": {"optimizer": {"kind": "sgd",
+                                                 "post_process": {
+                                                     "kind": "clip"}}},
+    "post.clip-key": {"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "clip", "max_norm": 1.0, "mask": [1, 1]}}},
+    "post.mask-missing-mask": {"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "mask"}}},
+    "post.identity-keys": {"optimizer": {"kind": "sgd", "post_process": {
+        "kind": "identity", "max_norm": 1.0, "mask": [1, 1]}}},
 }
 
 
