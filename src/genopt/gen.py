@@ -235,13 +235,12 @@ class GenController:
     fits_accepted: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError("eta must be positive and finite")
+        check_setting("", "eta", self.eta)
         for key in ("gamma", "phi", "probe_points", "r2_threshold",
                     "estimator"):
             check_setting("gen.", key, getattr(self, key))
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1 when set")
+        if self.horizon is not None:  # a decay runs over the iterations
+            check_setting("", "iterations", self.horizon, "horizon")
 
     @property
     def fits_rejected(self) -> int:

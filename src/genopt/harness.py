@@ -72,8 +72,40 @@ LR_GRID = tuple(m * 10.0 ** -k for k in range(5, -1, -1) for m in (1.0, 2.0, 5.0
 # controller declares the others
 _GEN_DEFAULTS = {"eta0": "auto", "decay": False}
 
-_PROBLEM_KINDS = ("rosenbrock", "beale", "quadratic", "logreg")
-_OPTIMIZER_KINDS = ("sgd", "adamw", "newton")
+# config section -> kind -> (keys the kind takes besides "kind", the keys
+# it requires, what builds it), the kinds in the order the unknown-kind
+# errors list them. A problem or post-processor builder is called with
+# the keys its mapping sets; an optimizer's is its (state, rule) pair,
+# and newton, which keeps no state, has none.
+KINDS = {
+    "problem.": {
+        "rosenbrock": ((), (), RosenbrockProblem),
+        "beale": ((), (), BealeProblem),
+        "quadratic": (("matrix_a", "offset"), ("matrix_a",),
+                      QuadraticProblem),
+        # an unset penalty and 0 share one memo key
+        "logreg": (("seed", "n", "d", "l2_penalty"), ("seed", "n", "d"),
+                   lambda seed, n, d, l2_penalty=0.0: _logreg_dataset(
+                       seed, n, d, float(l2_penalty))),
+    },
+    "optimizer.": {
+        "sgd": (("momentum", "weight_decay", "post_process"), (),
+                (SgdState, _sgd_rule)),
+        "adamw": (("beta1", "beta2", "epsilon", "weight_decay",
+                   "post_process"), (), (AdamWState, _adamw_rule)),
+        "newton": (("post_process",), (), None),
+    },
+    "post.": {
+        "identity": ((), (), Identity),
+        "sign": ((), (), SignSgd),
+        "clip": (("max_norm",), ("max_norm",), ClipToNorm),
+        "mask": (("mask",), ("mask",), Mask),
+    },
+}
+# each section's keys that some kind of it takes, "kind" among them
+_SECTION_KEYS = {
+    section: {"kind"}.union(*(keys for keys, _, _ in kinds.values()))
+    for section, kinds in KINDS.items()}
 
 
 class SpecError(ValueError):
@@ -188,36 +220,46 @@ def _check_fields(data: Dict, section: str, where: str, keys=None):
                             f"{key} at {where} must be {requirement}{hint}")
 
 
-def _check_keys(data: Dict, allowed, required, where: str):
+def _check_keys(data: Dict, allowed, required, where: str, note: str = ""):
     if not isinstance(data, dict):
         raise SpecError("config.not-a-mapping", f"{where} must be a mapping")
     for key in data:
         if key not in allowed:
             raise SpecError("config.unknown-key",
-                            f"unknown key {key!r} at {where}")
+                            f"unknown key {key!r} at {where}{note}")
     for key in required:  # a tuple, so the first missing key is stable
         if key not in data:
             raise SpecError("config.missing-key",
                             f"missing required key {key!r} at {where}")
 
 
-def _validate_problem(data: Dict, where: str) -> Dict:
-    _check_keys(data, {"kind", "matrix_a", "offset", "seed", "n", "d",
-                       "l2_penalty"}, ("kind",), where)
+def _check_kind(data: Dict, section: str, where: str) -> str:
+    """Check a mapping of a ``KINDS[section]`` kind and return the kind:
+    keys no kind takes, the kind, the keys it takes and requires, then
+    its ``SETTINGS`` fields."""
+    _check_keys(data, _SECTION_KEYS[section], ("kind",), where)
+    kinds = KINDS[section]
     kind = data["kind"]
-    if kind not in _PROBLEM_KINDS:
-        raise SpecError("config.problem.kind",
-                        f"unknown problem kind {kind!r} at {where}; "
-                        f"expected one of {_PROBLEM_KINDS}")
-    if kind in ("rosenbrock", "beale"):
-        extra = set(data) - {"kind"}
-        if extra:
-            raise SpecError("config.unknown-key",
-                            f"unknown key {sorted(extra)[0]!r} at {where} "
-                            f"(problem {kind!r} takes no parameters)")
-    elif kind == "quadratic":
-        _check_keys(data, {"kind", "matrix_a", "offset"},
-                    ("kind", "matrix_a"), where)
+    if kind not in tuple(kinds):
+        name = "post_process" if section == "post." else section[:-1]
+        listed = ("" if section == "post."
+                  else f"; expected one of {tuple(kinds)}")
+        raise SpecError(f"config.{section}kind",
+                        f"unknown {name} kind {kind!r} at {where}{listed}")
+    keys, required, _ = kinds[kind]
+    note = (f" for optimizer kind {kind!r}" if section == "optimizer."
+            else f" (problem {kind!r} takes no parameters)"
+            if section == "problem." and not keys else "")
+    # a kind that takes no keys names its first extra key in sorted order
+    _check_keys(data if keys else dict.fromkeys(sorted(data)),
+                ("kind", *keys), required, where, note)
+    _check_fields(data, section, where)
+    return kind
+
+
+def _validate_problem(data: Dict, where: str) -> Dict:
+    kind = _check_kind(data, "problem.", where)
+    if kind == "quadratic":
         a = data["matrix_a"]
         if (not isinstance(a, list) or not a
                 or any(not isinstance(row, list) or len(row) != len(a)
@@ -236,10 +278,7 @@ def _validate_problem(data: Dict, where: str) -> Dict:
             raise SpecError("config.problem.offset",
                             f"offset at {where} must be a list of "
                             f"{len(a)} finite numbers")
-    else:  # logreg
-        _check_keys(data, {"kind", "seed", "n", "d", "l2_penalty"},
-                    ("kind", "seed", "n", "d"), where)
-        _check_fields(data, "problem.", where)
+    elif kind == "logreg":
         limit = np.iinfo(np.intp).max // 8  # float64 values numpy can address
         if int(data["n"]) * int(data["d"]) > limit:
             raise SpecError("config.problem.size",
@@ -259,50 +298,18 @@ def _problem_dim(problem: Dict) -> int:
 
 
 def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
-    _check_keys(data, {"kind", "max_norm", "mask"}, ("kind",), where)
-    kind = data.get("kind")
-    if kind not in ("identity", "sign", "clip", "mask"):
-        raise SpecError("config.post.kind",
-                        f"unknown post_process kind {kind!r} at {where}")
-    if kind == "clip":
-        _check_keys(data, {"kind", "max_norm"}, ("kind", "max_norm"), where)
-        _check_fields(data, "post.", where)
-    elif kind == "mask":
-        _check_keys(data, {"kind", "mask"}, ("kind", "mask"), where)
+    if _check_kind(data, "post.", where) == "mask":
         m = data["mask"]
         if (not isinstance(m, list) or len(m) != dim
                 or any(v not in (0, 1) for v in m)):
             raise SpecError("config.post.mask",
                             f"mask at {where} must be a list of {dim} 0/1 "
                             f"entries")
-    else:
-        extra = set(data) - {"kind"}
-        if extra:
-            raise SpecError("config.unknown-key",
-                            f"unknown key {sorted(extra)[0]!r} at {where}")
     return dict(data)
 
 
 def _validate_optimizer(data: Dict, where: str, dim: int) -> Dict:
-    _check_keys(data, {"kind", "momentum", "weight_decay", "beta1", "beta2",
-                       "epsilon", "post_process"}, ("kind",), where)
-    kind = data["kind"]
-    if kind not in _OPTIMIZER_KINDS:
-        raise SpecError("config.optimizer.kind",
-                        f"unknown optimizer kind {kind!r} at {where}; "
-                        f"expected one of {_OPTIMIZER_KINDS}")
-    allowed = {
-        "sgd": {"kind", "momentum", "weight_decay", "post_process"},
-        "adamw": {"kind", "beta1", "beta2", "epsilon", "weight_decay",
-                  "post_process"},
-        "newton": {"kind", "post_process"},
-    }[kind]
-    for key in data:
-        if key not in allowed:
-            raise SpecError("config.unknown-key",
-                            f"unknown key {key!r} at {where} for "
-                            f"optimizer kind {kind!r}")
-    _check_fields(data, "optimizer.", where)
+    _check_kind(data, "optimizer.", where)
     if "post_process" in data:
         _validate_post_processor(data["post_process"],
                                  f"{where}.post_process", dim)
@@ -374,18 +381,14 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # builders
 
+def _build(section: str, data: Dict):
+    # the object a validated mapping of a KINDS[section] kind describes
+    keys, _, make = KINDS[section][data["kind"]]
+    return make(**{key: data[key] for key in keys if key in data})
+
+
 def build_problem(data: Dict) -> Objective:
-    kind = data["kind"]
-    if kind == "rosenbrock":
-        return RosenbrockProblem()
-    if kind == "beale":
-        return BealeProblem()
-    if kind == "quadratic":
-        return QuadraticProblem(data["matrix_a"], offset=data.get("offset"))
-    if kind == "logreg":
-        return _logreg_dataset(data["seed"], data["n"], data["d"],
-                               float(data.get("l2_penalty", 0.0)))
-    raise SpecError("config.problem.kind", f"unknown problem kind {kind!r}")
+    return _build("problem.", data)
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,19 +400,6 @@ def _logreg_dataset(seed: int, n: int, d: int,
     return generate_dataset(seed, n, d, l2_penalty=l2_penalty)
 
 
-def _build_post_processor(data: Optional[Dict]):
-    if data is None:
-        return None
-    kind = data["kind"]
-    if kind == "identity":
-        return Identity()
-    if kind == "sign":
-        return SignSgd()
-    if kind == "clip":
-        return ClipToNorm(float(data["max_norm"]))
-    return Mask(data["mask"])
-
-
 def build_direction_fn(problem: Objective, optimizer: Dict,
                        rows: Optional[int] = None) -> Tuple[object, Callable]:
     """Return ``(state, direction)``: the optimizer's state (None for
@@ -417,12 +407,18 @@ def build_direction_fn(problem: Objective, optimizer: Dict,
     With ``rows`` the state holds that many runs as (rows, dim) blocks.
     The callable takes finite float64 operands of the state's shape,
     as the step loops hand them, and does not check them again."""
-    kind = optimizer["kind"]
-    pp = _build_post_processor(optimizer.get("post_process"))
+    pp = optimizer.get("post_process")
+    pp = None if pp is None else _build("post.", pp)
+    builder = KINDS["optimizer."][optimizer["kind"]][2]
     state = None
-    if kind in ("sgd", "adamw"):
-        make, rule = ((SgdState, _sgd_rule) if kind == "sgd"
-                      else (AdamWState, _adamw_rule))
+    if builder is None:  # newton keeps no state
+        def raw(g, w, batch):
+            try:
+                return np.linalg.solve(problem.hessian(w, batch), g)
+            except np.linalg.LinAlgError:  # singular: the step blows up
+                return np.full_like(g, np.nan)
+    else:
+        make, rule = builder
         # the mapping's own settings; the state declares the defaults
         state = make(problem.dim, rows=rows, **{
             k: v for k, v in optimizer.items()
@@ -430,15 +426,6 @@ def build_direction_fn(problem: Objective, optimizer: Dict,
 
         def raw(g, w, batch):
             return rule(state, g, w)
-    elif kind == "newton":
-        def raw(g, w, batch):
-            try:
-                return np.linalg.solve(problem.hessian(w, batch), g)
-            except np.linalg.LinAlgError:  # singular: the step blows up
-                return np.full_like(g, np.nan)
-    else:
-        raise SpecError("config.optimizer.kind",
-                        f"unknown optimizer kind {kind!r}")
     if pp is None:
         return state, raw
     return state, lambda g, w, batch: post_process(pp, raw(g, w, batch))
@@ -570,18 +557,21 @@ def require_eta_or_gen(spec: ExperimentSpec) -> None:
 
 def require_grid_specs(specs: Sequence[ExperimentSpec]) -> None:
     """Grid search tunes a fixed rate: no spec may carry gen settings, and
-    each optimizer must take a rate, which a newton step does not. The gen
+    each optimizer must be a kind with a (state, rule) builder, whose
+    direction a rate scales; a newton step carries its own scale. The gen
     check runs over every spec first."""
     for spec in specs:
         if spec.gen is not None:
             raise SpecError("config.grid.gen-not-allowed",
                             f"experiment {spec.name!r} has gen settings; "
                             f"grid search tunes fixed-eta baselines")
+    rated = [kind for kind, (_, _, builder) in KINDS["optimizer."].items()
+             if builder is not None]
     for spec in specs:
-        if spec.optimizer["kind"] not in ("sgd", "adamw"):
+        if spec.optimizer["kind"] not in rated:
             raise SpecError("config.grid.optimizer",
-                            "grid search tunes fixed-eta baselines; use an "
-                            "sgd or adamw optimizer")
+                            f"grid search tunes fixed-eta baselines; use an "
+                            f"{' or '.join(rated)} optimizer")
 
 
 def run_experiment(spec: ExperimentSpec) -> RunResult:

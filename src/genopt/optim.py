@@ -38,8 +38,7 @@ class SgdState:
     velocity: Array = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_setting("problem.", "d", self.dim, "dim")
         for key in ("momentum", "weight_decay"):
             check_setting("optimizer.", key, getattr(self, key))
         self.velocity = np.zeros(_shape(self))
@@ -65,8 +64,7 @@ class AdamWState:
     v: Array = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_setting("problem.", "d", self.dim, "dim")
         for key in ("beta1", "beta2", "weight_decay", "epsilon"):
             check_setting("optimizer.", key, getattr(self, key))
         self.m = np.zeros(_shape(self))

@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 from genopt import cli, harness, kernels
-from genopt.core import FULL_DATA, Objective, SyntheticNoise, norm
+from genopt.core import (FULL_DATA, SETTINGS, Objective, SyntheticNoise,
+                         norm)
 from genopt.gen import ETA0_GRID, GenController, probe_losses
 from genopt.harness import (
     CONVERGENCE_TOL,
@@ -567,6 +568,12 @@ _FIELD_GOLDEN = [
      "phi at experiment.gen must be an integer >= 1"),
     ("", "batch_size", 2.5, "config.batch-size",
      "batch_size at experiment must be an integer >= 1"),
+    # and values a state's dim or a controller's horizon once failed on
+    # inside numpy or accepted
+    ("problem", "d", 2.5, "config.problem.d",
+     "d at experiment.problem must be an integer >= 1"),
+    ("", "iterations", 2.5, "config.iterations",
+     "iterations at experiment must be an integer >= 1"),
 ]
 
 
@@ -584,11 +591,15 @@ def test_field_messages_are_pinned(section, key, value, code, message):
 
 def _library_sites(section, key):
     """(site, argument, build from a value) for each library argument that
-    takes the config setting ``key`` of ``section``. Root iterations,
-    log_every and eta and gen eta0 and decay have none."""
+    takes the config setting ``key`` of ``section``. Root log_every and
+    gen eta0 and decay have none."""
     if section == "problem":
-        return [("generate_dataset", key, lambda v: generate_dataset(
+        sites = [("generate_dataset", key, lambda v: generate_dataset(
             **{"seed": 0, "n": 50, "d": 2, key: v}))]
+        if key == "d":
+            sites += [(make.__name__, "dim", lambda v, make=make: make(dim=v))
+                      for make in (SgdState, AdamWState)]
+        return sites
     if section == "optimizer":
         return [(make.__name__, key, lambda v, make=make: make(2, **{key: v}))
                 for make in (SgdState, AdamWState)
@@ -603,6 +614,11 @@ def _library_sites(section, key):
         one = QuadraticProblem([[1.0]])
         sites.append(("probe_losses", "points", lambda v: probe_losses(
             one, np.ones(1), np.ones(1), 0.5, points=v)))
+    if (section, key) == ("", "eta"):
+        sites.append(("GenController", key, lambda v: GenController(eta=v)))
+    if (section, key) == ("", "iterations"):
+        sites.append(("GenController", "horizon",
+                      lambda v: GenController(eta=0.1, horizon=v)))
     if (section, key) == ("", "seed"):
         sites.append(("SyntheticNoise", key,
                       lambda v: SyntheticNoise(seed=v, batch_size=1)))
@@ -615,12 +631,14 @@ def _library_sites(section, key):
 
 # the golden cases a library argument can meet: every one but the n * d
 # size and a batch size on a deterministic problem, which check two
-# settings together
+# settings together, and a null eta or horizon, which a config's root
+# and a controller read as unset
 _LIBRARY_CASES = [
     (site, arg, build, case) for case in _FIELD_GOLDEN
     if case[3] not in ("config.problem.size",
                        "config.batch-size.not-stochastic")
-    for site, arg, build in _library_sites(*case[:2])]
+    for site, arg, build in _library_sites(*case[:2])
+    if not (arg in ("eta", "horizon") and case[2] is None)]
 
 
 @pytest.mark.parametrize(
@@ -682,6 +700,11 @@ _SITE_GOLDEN = [
      "config.unknown-key",
      "unknown key 'n' at experiment.problem "
      "(problem 'rosenbrock' takes no parameters)"),
+    ("rosenbrock-names-the-first-sorted-key",
+     {"problem": {"kind": "rosenbrock", "seed": 0, "n": 4}},
+     "config.unknown-key",
+     "unknown key 'n' at experiment.problem "
+     "(problem 'rosenbrock' takes no parameters)"),
     ("quadratic-unknown-key", _quadratic(matrix_a=[[1.0]], seed=0),
      "config.unknown-key",
      "unknown key 'seed' at experiment.problem"),
@@ -726,6 +749,11 @@ _SITE_GOLDEN = [
      "config.unknown-key",
      "unknown key 'momentum' at experiment.optimizer "
      "for optimizer kind 'adamw'"),
+    ("newton-key-for-kind",
+     {"optimizer": {"kind": "newton", "momentum": 0.9}},
+     "config.unknown-key",
+     "unknown key 'momentum' at experiment.optimizer "
+     "for optimizer kind 'newton'"),
     ("post-not-a-mapping",
      {"optimizer": {"kind": "sgd", "post_process": "clip"}},
      "config.not-a-mapping",
@@ -759,6 +787,10 @@ _SITE_GOLDEN = [
     ("sign-takes-no-parameters", _post(kind="sign", max_norm=1.0),
      "config.unknown-key",
      "unknown key 'max_norm' at experiment.optimizer.post_process"),
+    ("identity-names-the-first-sorted-key",
+     _post(kind="identity", max_norm=1.0, mask=[1, 1]),
+     "config.unknown-key",
+     "unknown key 'mask' at experiment.optimizer.post_process"),
     ("gen-not-a-mapping", {"eta": _DROP, "gen": "auto"},
      "config.not-a-mapping",
      "experiment.gen must be a mapping"),
@@ -947,6 +979,16 @@ def test_gen_defaults_fill_in():
     ran = run_experiment(spec)
     assert ran.gen_stats["fit_attempts"] == 5
     assert ran.records == run_experiment(spec_from_dict(spelled)).records
+
+
+def test_kinds_take_exactly_the_section_settings():
+    # every setting of a section is some kind's key, and every key a kind
+    # takes is a setting or one of the structured keys checked by hand
+    for section, kinds in harness.KINDS.items():
+        taken = {key for keys, _, _ in kinds.values() for key in keys}
+        assert set(SETTINGS[section]) <= taken, section
+        assert taken - set(SETTINGS[section]) <= {
+            "matrix_a", "offset", "mask", "post_process"}, section
 
 
 def test_build_problem_kinds():
