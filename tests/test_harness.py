@@ -568,8 +568,8 @@ _FIELD_GOLDEN = [
      "phi at experiment.gen must be an integer >= 1"),
     ("", "batch_size", 2.5, "config.batch-size",
      "batch_size at experiment must be an integer >= 1"),
-    # and values a state's dim or a controller's horizon once failed on
-    # inside numpy or accepted
+    # and values a state's dim once failed on inside numpy and a
+    # controller's horizon once accepted
     ("problem", "d", 2.5, "config.problem.d",
      "d at experiment.problem must be an integer >= 1"),
     ("", "iterations", 2.5, "config.iterations",
