@@ -21,8 +21,11 @@ and with mini-batches. Then, in one more subprocess per tree, run every
 experiment of the committed configs and of the adaptive-shapes config
 that `run` and `compare` accept through `genopt.harness.run_experiment`,
 and compare the sha256 of its iterates (`np.asarray(result.ws,
-dtype=np.float64).tobytes()`) and of `final_w.tobytes()`, so that a
-report of no differences also proves every iterate kept its bits.
+dtype=np.float64).tobytes()`), of `final_w.tobytes()` and of its records
+(`repr([dataclasses.astuple(r) for r in result.records])`), so that a
+report of no differences also proves every iterate kept its bits and
+every record field its value, None apart from NaN included. Every config
+is written with its keys in the order given here, not sorted.
 Exits 1 on any difference.
 Also prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
@@ -43,6 +46,8 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 COMMANDS = ("run", "compare", "grid-search")
 # what each command is compared on besides its CSVs
 FACTS = ("exit code", "stdout", "stderr", "output directory left")
+# what each experiment is compared on in one subprocess
+HASHED = ("iterates", "final_w", "records")
 
 LOGREG = {"kind": "logreg", "seed": 0, "n": 50, "d": 2}
 EXPERIMENT = {"name": "bad", "problem": LOGREG, "optimizer": {"kind": "sgd"},
@@ -110,9 +115,9 @@ BAD_EXPERIMENTS = {
         "kind": "clip", "max_norm": float("inf")}}},
     "problem.l2-inf": {"problem": dict(LOGREG, l2_penalty=float("inf"))},
     "batch-size-fraction": {"batch_size": 2.5},
-    # each kind's own key errors; safe_dump writes a mapping's keys sorted,
-    # so a kind that names its first extra key in sorted order meets them
-    # in that order here
+    # each kind's own key errors; the keys are written in the order given
+    # here, so a kind that names its first extra key in sorted order shows
+    # it names that one
     "problem.rosenbrock-key": {"problem": {"kind": "rosenbrock", "seed": 0,
                                            "n": 4}},
     "problem.quadratic-key": {"problem": {"kind": "quadratic",
@@ -186,9 +191,10 @@ ADAPTIVE_SHAPES = [
 
 
 # run in each tree's interpreter: one line per experiment with a rate
-# source, "config<TAB>name<TAB>sha256(ws)<TAB>sha256(final_w)"
+# source, "config<TAB>name<TAB>sha256(ws)<TAB>sha256(final_w)<TAB>
+# sha256(records)"; repr spells every float exactly, nan included
 ITERATE_HASHES = """
-import hashlib, sys
+import dataclasses, hashlib, sys
 import numpy as np
 from genopt.cli import load_config
 from genopt.harness import run_experiment
@@ -198,8 +204,10 @@ for path in sys.argv[1:]:
             continue  # a grid-search experiment: run and compare reject it
         res = run_experiment(spec)
         ws = np.asarray(res.ws, dtype=np.float64).tobytes()
+        records = repr([dataclasses.astuple(r) for r in res.records])
         print(path, spec.name, hashlib.sha256(ws).hexdigest(),
-              hashlib.sha256(res.final_w.tobytes()).hexdigest(), sep="\t")
+              hashlib.sha256(res.final_w.tobytes()).hexdigest(),
+              hashlib.sha256(records.encode()).hexdigest(), sep="\t")
 """
 
 
@@ -222,6 +230,12 @@ def invalid_configs():
     return configs
 
 
+def write_config(path, config):
+    # keys in the order given, so an error that names one of several keys
+    # shows which
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+
+
 def comparable(path):
     data = path.read_bytes()
     if path.name != "summary.csv":
@@ -237,18 +251,15 @@ def outputs(src, tmp):
     for name, config in invalid_configs().items():
         path = Path(tmp, "invalid", f"{name}.yaml")
         path.parent.mkdir(exist_ok=True)
-        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        write_config(path, config)
         cases += [("run", path), ("grid-search", path)]
     path = Path(tmp, "grid_shapes.yaml")
-    path.write_text(yaml.safe_dump({"format_version": 1, "output_dir": "out",
-                                    "experiments": GRID_SHAPES}),
-                    encoding="utf-8")
+    write_config(path, {"format_version": 1, "output_dir": "out",
+                        "experiments": GRID_SHAPES})
     cases.append(("grid-search", path))
     adaptive = Path(tmp, "adaptive_shapes.yaml")
-    adaptive.write_text(yaml.safe_dump({"format_version": 1,
-                                        "output_dir": "out",
-                                        "experiments": ADAPTIVE_SHAPES}),
-                        encoding="utf-8")
+    write_config(adaptive, {"format_version": 1, "output_dir": "out",
+                            "experiments": ADAPTIVE_SHAPES})
     cases.append(("run", adaptive))
     got = {}
     for cmd, cfg in cases:
@@ -266,13 +277,14 @@ def outputs(src, tmp):
 
 
 def iterate_hashes(env, tmp, configs):
-    """(config, experiment) -> (ws hash, final_w hash) from ITERATE_HASHES."""
+    """(config, experiment) -> (ws hash, final_w hash, records hash) from
+    ITERATE_HASHES."""
     proc = subprocess.run(
         [sys.executable, "-c", ITERATE_HASHES, *map(str, configs)],
         capture_output=True, env=env, cwd=tmp, check=True, text=True)
     lines = (line.split("\t") for line in proc.stdout.splitlines())
-    return {(Path(cfg).name, name): (ws, final)
-            for cfg, name, ws, final in lines}
+    return {(Path(cfg).name, name): tuple(hashes)
+            for cfg, name, *hashes in lines}
 
 
 def line_count(src):
@@ -296,9 +308,8 @@ def main(old_src, new_src):
             if csvs.get(name) != csvs2.get(name):
                 diffs.append(f"{key}: {name} differs")
     for key in sorted(set(old_hashes) | set(new_hashes)):
-        for what, x, y in zip(("iterates", "final_w"),
-                              old_hashes.get(key, (None, None)),
-                              new_hashes.get(key, (None, None))):
+        for what, x, y in zip(HASHED, old_hashes.get(key, (None,) * 3),
+                              new_hashes.get(key, (None,) * 3)):
             if x != y:
                 diffs.append(f"{key}: {what} differ")
     for line in diffs:
@@ -307,7 +318,8 @@ def main(old_src, new_src):
     print(f"genopt/*.py lines: {line_count(old_src)} -> "
           f"{line_count(new_src)}")
     print(f"{len(old)} commands, (exit code, count) {codes}, {n_csv} CSVs, "
-          f"{len(old_hashes)} experiments' iterates: {len(diffs)} differences")
+          f"{len(old_hashes)} experiments' iterates and records: "
+          f"{len(diffs)} differences")
     return 1 if diffs else 0
 
 
