@@ -144,17 +144,23 @@ class LogisticRegressionProblem(Objective):
     """
 
     def __init__(self, features, labels, l2_penalty: float = 0.0):
-        x = np.array(features, dtype=np.float64)
+        # copies of the caller's arrays, so changing them later changes no
+        # loss
+        self._take(np.array(features, dtype=np.float64), np.array(labels),
+                   l2_penalty)
+
+    def _take(self, x: Array, y: Array, l2_penalty: float) -> None:
+        # set up on float64 features x and labels y as they are, without a
+        # copy of either
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("features must be a non-empty 2-D matrix")
-        y = np.asarray(labels)
         if y.shape != (x.shape[0],):
             raise ValueError("labels must match the number of feature rows")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be binary (0/1)")
         check_setting("problem.", "l2_penalty", l2_penalty)
         self.features = x
-        self.labels = y.astype(np.int64)
+        self.labels = y.astype(np.int64, copy=False)
         self.l2_penalty = float(l2_penalty)
         self.n_samples = x.shape[0]
         self.dim = x.shape[1]
@@ -251,5 +257,9 @@ def generate_dataset(seed: int, n: int, d: int,
     y = (x @ w_true > 0).astype(np.int64)
     flip = rng.random(n) < 0.05
     y = np.where(flip, 1 - y, y)
-    return LogisticRegressionProblem(x, y, l2_penalty=l2_penalty)
+    # the problem takes the arrays just drawn, so the features are never
+    # held twice
+    problem = LogisticRegressionProblem.__new__(LogisticRegressionProblem)
+    problem._take(x, y, l2_penalty)
+    return problem
 

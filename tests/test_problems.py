@@ -1,6 +1,8 @@
 """Test objectives: analytic derivatives against finite-difference oracles,
 documented minimizers, batching semantics, and the synthetic dataset."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,33 @@ def test_generate_dataset_shapes_and_determinism():
     np.testing.assert_array_equal(a.labels, b.labels)
     c = generate_dataset(seed=6, n=200, d=4)
     assert not np.array_equal(a.features, c.features)
+
+
+def test_logreg_keeps_copies_of_the_callers_arrays():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((32, 3))
+    y = (rng.random(32) < 0.5).astype(np.int64)
+    p = LogisticRegressionProblem(x, y, l2_penalty=0.1)
+    w = np.array([0.3, -0.2, 0.5])
+    before = (p.loss(w), p.grad(w).tobytes())
+    x[:] = 7.0
+    y[:] = 1 - y
+    assert (p.loss(w), p.grad(w).tobytes()) == before
+
+
+def test_generate_dataset_holds_its_features_once():
+    # the problem takes the drawn arrays, so building it never holds a
+    # second copy of the feature matrix
+    n, d = 16384, 8
+    generate_dataset(seed=1, n=64, d=d)
+    tracemalloc.start()
+    try:
+        p = generate_dataset(seed=1, n=n, d=d)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.features.dtype == np.float64 and p.labels.dtype == np.int64
+    assert peak - kept < p.features.nbytes / 2
 
 
 def test_generate_dataset_labels_and_flips():
