@@ -76,17 +76,19 @@ _GEN_DEFAULTS = {"eta0": "auto", "decay": False}
 # it requires, what builds it), the kinds in the order the unknown-kind
 # errors list them. A problem or post-processor builder is called with
 # the keys its mapping sets; an optimizer's is its (state, rule) pair,
-# and newton, which keeps no state, has none.
+# and newton, which keeps no state, has none. A problem's entry ends with
+# what reads the parameter dimension from its validated mapping.
 KINDS = {
     "problem.": {
-        "rosenbrock": ((), (), RosenbrockProblem),
-        "beale": ((), (), BealeProblem),
+        "rosenbrock": ((), (), RosenbrockProblem, lambda p: 2),
+        "beale": ((), (), BealeProblem, lambda p: 2),
         "quadratic": (("matrix_a", "offset"), ("matrix_a",),
-                      QuadraticProblem),
+                      QuadraticProblem, lambda p: len(p["matrix_a"])),
         # an unset penalty and 0 share one memo key
         "logreg": (("seed", "n", "d", "l2_penalty"), ("seed", "n", "d"),
                    lambda seed, n, d, l2_penalty=0.0: _logreg_dataset(
-                       seed, n, d, float(l2_penalty))),
+                       seed, n, d, float(l2_penalty)),
+                   lambda p: p["d"]),
     },
     "optimizer.": {
         "sgd": (("momentum", "weight_decay", "post_process"), (),
@@ -104,7 +106,7 @@ KINDS = {
 }
 # each section's keys that some kind of it takes, "kind" among them
 _SECTION_KEYS = {
-    section: {"kind"}.union(*(keys for keys, _, _ in kinds.values()))
+    section: {"kind"}.union(*(keys for keys, *_ in kinds.values()))
     for section, kinds in KINDS.items()}
 
 
@@ -246,7 +248,7 @@ def _check_kind(data: Dict, section: str, where: str) -> str:
                   else f"; expected one of {tuple(kinds)}")
         raise SpecError(f"config.{section}kind",
                         f"unknown {name} kind {kind!r} at {where}{listed}")
-    keys, required, _ = kinds[kind]
+    keys, required, *_ = kinds[kind]
     note = (f" for optimizer kind {kind!r}" if section == "optimizer."
             else f" (problem {kind!r} takes no parameters)"
             if section == "problem." and not keys else "")
@@ -286,15 +288,6 @@ def _validate_problem(data: Dict, where: str) -> Dict:
                             f"float64 values an array can address (got "
                             f"{data['n']} * {data['d']})")
     return dict(data)
-
-
-def _problem_dim(problem: Dict) -> int:
-    # the parameter dimension of a validated problem mapping
-    if problem["kind"] == "quadratic":
-        return len(problem["matrix_a"])
-    if problem["kind"] == "logreg":
-        return problem["d"]
-    return 2
 
 
 def _validate_post_processor(data: Dict, where: str, dim: int) -> Dict:
@@ -340,7 +333,7 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
                         f"name at {where} must use only letters, digits, "
                         f"'.', '_', '-'")
     problem = _validate_problem(data["problem"], f"{where}.problem")
-    dim = _problem_dim(problem)
+    dim = KINDS["problem."][problem["kind"]][3](problem)
     optimizer = _validate_optimizer(data["optimizer"], f"{where}.optimizer",
                                     dim)
     _check_fields(data, "", where, ("iterations", "seed", "log_every", "eta"))
@@ -383,7 +376,7 @@ def spec_from_dict(data: Dict, where: str = "experiment") -> ExperimentSpec:
 
 def _build(section: str, data: Dict):
     # the object a validated mapping of a KINDS[section] kind describes
-    keys, _, make = KINDS[section][data["kind"]]
+    keys, _, make, *_ = KINDS[section][data["kind"]]
     return make(**{key: data[key] for key in keys if key in data})
 
 

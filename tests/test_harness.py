@@ -985,7 +985,7 @@ def test_kinds_take_exactly_the_section_settings():
     # every setting of a section is some kind's key, and every key a kind
     # takes is a setting or one of the structured keys checked by hand
     for section, kinds in harness.KINDS.items():
-        taken = {key for keys, _, _ in kinds.values() for key in keys}
+        taken = {key for keys, *_ in kinds.values() for key in keys}
         assert set(SETTINGS[section]) <= taken, section
         assert taken - set(SETTINGS[section]) <= {
             "matrix_a", "offset", "mask", "post_process"}, section
