@@ -129,12 +129,12 @@ def _write_rows(path: str, header, rows) -> None:
 
 
 def write_trajectory_csv(path: str, result: RunResult) -> None:
-    last = len(result.records) - 1
+    last = len(result.log_flags) - 1
     _write_rows(path, TRAJECTORY_COLUMNS, (
-        [fmt(rec.step), fmt(rec.loss), fmt(rec.eta), fmt(rec.eta_candidate),
-         fmt(rec.fit_accepted), fmt(rec.fit_r2), fmt(rec.grad_norm),
-         result.status if i == last else "ok"]
-        for i, rec in enumerate(result.records)))
+        [fmt(step), fmt(loss), fmt(eta), fmt(candidate), fmt(accepted),
+         fmt(r2), fmt(grad_norm), result.status if i == last else "ok"]
+        for i, (step, loss, eta, grad_norm, candidate, accepted, r2)
+        in enumerate(result.steps())))
 
 
 def write_summary_csv(path: str, specs: List[ExperimentSpec],
@@ -145,7 +145,7 @@ def write_summary_csv(path: str, specs: List[ExperimentSpec],
         rows.append([
             spec.name, res.status, fmt(spec.iterations),
             fmt(res.final_loss),
-            fmt(res.records[-1].eta if res.records else None),
+            fmt(res.column("eta")[-1] if res.log_flags else None),
             f"{res.wall_time:.3f}",
             fmt(stats.get("fit_attempts")),
             fmt(stats.get("fits_accepted")),
@@ -163,10 +163,12 @@ def write_grid_csv(path: str, rows: List[Dict],
 
 def write_compare_csv(path: str, names: List[str], iterations: int,
                       results: List[RunResult]) -> None:
-    by_step = [{rec.step: rec.loss for rec in res.records}
-               for res in results]
+    # compare runs log every step, so step t's loss is row t - 1 of a
+    # run's loss column until the run stops
+    losses = [res.column("loss") for res in results]
     _write_rows(path, ["iter"] + names, (
-        [fmt(t)] + [fmt(table.get(t)) for table in by_step]
+        [fmt(t)] + [fmt(column[t - 1]) if t <= len(column) else ""
+                    for column in losses]
         for t in range(1, iterations + 1)))
 
 
@@ -239,7 +241,7 @@ def cmd_run(config_path: str, output_dir: Optional[str] = None,
                                  res)
             print(f"{spec.name}: status={res.status} "
                   f"final_loss={res.final_loss:.6g} "
-                  f"records={len(res.records)}")
+                  f"records={len(res.log_flags)}")
         write_summary_csv(os.path.join(out, "summary.csv"), specs, results)
         print(f"wrote {len(specs)} trajectories + summary.csv to {out}")
         return 0

@@ -229,7 +229,8 @@ class StepRecord:
 
     ``eta_candidate`` is the raw fitted ratio b*/a* whenever a fit was
     attempted and produced one (accepted or not); ``fit_accepted`` tells
-    whether it passed the guards and moved eta.
+    whether it passed the guards and moved eta. A run keeps its logged
+    steps packed and builds these records when they are read.
     """
 
     step: int

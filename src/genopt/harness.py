@@ -10,11 +10,13 @@ territory without aborting the sweep.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
+import struct
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,27 +166,60 @@ class ExperimentSpec:
         return out
 
 
+# one logged step packed: a float64 row of these StepRecord fields, in
+# this order, plus a flags byte that holds fit_accepted and which of the
+# optional fields are set, so that None stays apart from NaN
+_LOG_COLUMNS = ("step", "loss", "eta", "grad_norm", "eta_candidate",
+                "fit_r2")
+_LOG_ROW = struct.Struct(f"{len(_LOG_COLUMNS)}d")
+_ACCEPTED, _HAS_CANDIDATE, _HAS_R2 = 1, 2, 4
+
+
 @dataclass
 class RunResult:
     """Trajectory and terminal state of one run.
 
-    ``records`` holds one entry per logged step, ordered by step, each
-    carrying the post-step loss on that step's batch; ``final_loss``
-    always equals the last record's loss. ``ws`` is one C-contiguous
-    (n_iterates, dim) float64 array: row 0 is the start (so convergence
-    metrics can see w0) and each later row the iterate of one successful
-    step, so a run keeps ``8 * dim`` bytes per step. ``final_w`` equals
-    its last row and is an array of its own. ``gen_stats`` holds the
-    controller's guard counters when a controller ran.
+    A run keeps one entry per logged step, ordered by step, each carrying
+    the post-step loss on that step's batch, as packed columns: ``log``
+    holds one float64 row per step (step, loss, eta, grad_norm,
+    eta_candidate, fit_r2, NaN standing in for None) and ``log_flags``
+    one byte (fit_accepted, then whether eta_candidate and fit_r2 are
+    set), so a run keeps 49 bytes per logged step. ``records`` builds the
+    ``StepRecord`` list from them on each read, and ``column`` reads one
+    float column. ``final_loss`` always equals the last record's loss.
+    ``ws`` is one C-contiguous (n_iterates, dim) float64 array: row 0 is
+    the start (so convergence metrics can see w0) and each later row the
+    iterate of one successful step, so a run keeps ``8 * dim`` bytes per
+    step. ``final_w`` equals its last row and is an array of its own.
+    ``gen_stats`` holds the controller's guard counters when a controller
+    ran.
     """
 
-    records: List[StepRecord]
+    log: array.array
+    log_flags: array.array
     final_w: Array
     final_loss: float
     wall_time: float
     status: str = "ok"
     ws: Array = field(default_factory=lambda: np.empty((0, 0)))
     gen_stats: Optional[Dict[str, int]] = None
+
+    def steps(self) -> Iterator[Tuple]:
+        """Each logged step's ``StepRecord`` fields, in field order."""
+        for (step, loss, eta, grad_norm, candidate, r2), flags in zip(
+                _LOG_ROW.iter_unpack(self.log), self.log_flags):
+            yield (int(step), loss, eta, grad_norm,
+                   candidate if flags & _HAS_CANDIDATE else None,
+                   bool(flags & _ACCEPTED), r2 if flags & _HAS_R2 else None)
+
+    @property
+    def records(self) -> List[StepRecord]:
+        return [StepRecord(*fields) for fields in self.steps()]
+
+    def column(self, name: str) -> array.array:
+        """The float64 column of one ``_LOG_COLUMNS`` field, a value per
+        logged step; NaN where an optional field is None."""
+        return self.log[_LOG_COLUMNS.index(name)::len(_LOG_COLUMNS)]
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +491,11 @@ def _execute(problem: Objective, direction_fn: Callable,
              spec: ExperimentSpec) -> RunResult:
     t_begin = time.perf_counter()
     # nothing writes into an iterate: _start and apply_step each return a
-    # fresh array, so ws holds the iterates themselves until the run ends
+    # fresh array, so ws packs each one's bits as the run reaches it
     w = _start(problem, spec)
-    ws = [w]
-    records: List[StepRecord] = []
+    ws = array.array("d", w.tobytes())
+    log = array.array("d")
+    log_flags = array.array("B")
     status = "ok"
     # an adaptive run has no rate until its first step resolves eta0
     eta = math.nan if spec.eta is None else float(spec.eta)
@@ -515,7 +551,7 @@ def _execute(problem: Objective, direction_fn: Callable,
                 except NonFiniteError:
                     ok = False
             if ok:
-                ws.append(w)
+                ws.frombytes(w.tobytes())
                 # on the full batch the post-step (loss, grad) is the next
                 # step's start
                 if spec.batch_size is None and t < spec.iterations:
@@ -525,7 +561,13 @@ def _execute(problem: Objective, direction_fn: Callable,
                     loss = float(problem.loss(w, batch))
                 ok = _in_bounds(loss)
             if not ok or t % spec.log_every == 0 or t == spec.iterations:
-                records.append(StepRecord(t, loss, eta, grad_norm, *estimate))
+                candidate, accepted, r2 = estimate
+                log.frombytes(_LOG_ROW.pack(
+                    t, loss, eta, grad_norm,
+                    math.nan if candidate is None else candidate,
+                    math.nan if r2 is None else r2))
+                log_flags.append(accepted | _HAS_CANDIDATE * (
+                    candidate is not None) | _HAS_R2 * (r2 is not None))
             if not ok:
                 status = "diverged"
                 break
@@ -535,10 +577,11 @@ def _execute(problem: Objective, direction_fn: Callable,
         gen_stats = {"fit_attempts": ctrl.fit_attempts,
                      "fits_accepted": ctrl.fits_accepted,
                      "fits_rejected": ctrl.fits_rejected}
-    final_loss = records[-1].loss if records else math.nan
-    return RunResult(records=records, final_w=w, final_loss=final_loss,
+    # the last step a run takes is logged, so its loss is the last record's
+    return RunResult(log=log, log_flags=log_flags, final_w=w, final_loss=loss,
                      wall_time=time.perf_counter() - t_begin, status=status,
-                     ws=np.array(ws), gen_stats=gen_stats)
+                     ws=np.frombuffer(ws).reshape(-1, w.size),
+                     gen_stats=gen_stats)
 
 
 def require_eta_or_gen(spec: ExperimentSpec) -> None:

@@ -208,6 +208,17 @@ def test_run_parallel_jobs_match_serial(tmp_path, monkeypatch):
             (tmp_path / "par" / fname).read_bytes()
 
 
+def test_commands_build_no_step_record(tmp_path, monkeypatch):
+    # runs keep packed columns, and the writers read them as they are
+    def refuse(*fields):
+        raise AssertionError("a StepRecord was built")
+
+    monkeypatch.setattr(harness, "StepRecord", refuse)
+    cfg = _write_config(tmp_path, _basic_experiments())
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["compare", "--config", cfg]) == 0
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the process pool with an inline one; record max_workers.

@@ -2,9 +2,12 @@
 reproducible execution, grid-search baselines, and the test-side
 batch-noise study."""
 
+import csv
 import dataclasses
+import gc
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import yaml
 from genopt import cli, harness, kernels
 from genopt.core import (FULL_DATA, SETTINGS, Objective, SyntheticNoise,
                          norm)
-from genopt.gen import ETA0_GRID, GenController, probe_losses
+from genopt.gen import ETA0_GRID, Estimate, GenController, probe_losses
 from genopt.harness import (
     CONVERGENCE_TOL,
     DIVERGENCE_LOSS,
@@ -1862,3 +1865,122 @@ def test_convergence_metrics_match_a_norm_per_iterate(config, optimum, rows):
 
 def test_convergence_tolerance_constant():
     assert CONVERGENCE_TOL == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# packed run records
+
+# the records a run built when it kept one StepRecord per logged step,
+# as astuple spells them: an hvp run (no r2), a 5-point fit, and a run
+# whose starting-rate search blows up before eta0 resolves (eta NaN)
+_LOGGED = {
+    "hvp": ({"iterations": 4,
+             "gen": {"estimator": "hvp", "eta0": 1e-3, "phi": 2}},
+            [(1, 11.305920062499997, 0.001, 162.8649747490233, None, False,
+              None),
+             (2, 8.151517542763068, 0.0009639055952398261, 133.9268367083405,
+              0.0006390559523982608, True, None),
+             (3, 7.318324363277965, 0.0009639055952398261, 93.85707247453014,
+              None, False, None),
+             (4, 6.425131330314107, 0.0009271039923196842, 71.09041643306696,
+              0.0005958895660384075, True, None)]),
+    "five-point": ({"iterations": 3,
+                    "gen": {"probe_points": 5, "eta0": 1e-3, "phi": 1,
+                            "r2_threshold": 0.5}},
+                   [(1, 10.517645972755162, 0.000962460613333016,
+                     162.8649747490233, 0.0006246061333301594, True,
+                     0.9977312345250824),
+                    (2, 7.387400355427235, 0.0009166989795816334,
+                     124.32128801795231, 0.0005048442758191908, True,
+                     0.99818227290931),
+                    (3, 6.484746583577727, 0.0008827069236196063,
+                     76.25662776503921, 0.0005767784199613615, True,
+                     0.9995337572788685)]),
+    "no-eta0": ({"iterations": 5, "gen": {"eta0": "auto"},
+                 "optimizer": {"kind": "sgd", "weight_decay": 1.0e300}},
+                [(1, 12.5, math.nan, 162.8649747490233, None, False, None)]),
+}
+
+
+def _logged_spec(case):
+    return spec_from_dict(_minimal(name=case, eta=None, **_LOGGED[case][0]))
+
+
+def _astuples(records):
+    return [dataclasses.astuple(r) for r in records]
+
+
+@pytest.mark.parametrize("case", list(_LOGGED))
+def test_records_read_back_as_logged(case):
+    result = run_experiment(_logged_spec(case))
+    want = _LOGGED[case][1]
+    # repr spells nan, None, int and bool exactly
+    assert repr(_astuples(result.records)) == repr(want)
+    assert result.final_loss == want[-1][1]
+    # built on each read, never kept on the result
+    assert result.records is not result.records
+    assert "records" not in vars(result)
+    back = pickle.loads(pickle.dumps(result))
+    assert repr(_astuples(back.records)) == repr(want)
+    assert back.ws.tobytes() == result.ws.tobytes()
+
+
+def test_records_from_worker_processes_match(monkeypatch):
+    # --jobs 2 sends each result back pickled; a one-CPU machine would
+    # run them serially, so the pool is asked for two workers
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    specs = [_logged_spec(case) for case in _LOGGED]
+    results = cli._run_specs(run_experiment, specs, jobs=2)
+    for case, result in zip(_LOGGED, results):
+        assert repr(_astuples(result.records)) == repr(_LOGGED[case][1])
+
+
+def test_packed_records_keep_none_apart_from_nan(monkeypatch, tmp_path):
+    # each step's estimate as gen_update hands it over: NaN where a record
+    # may also hold None, and a negative zero
+    estimates = [Estimate(None, False, None),
+                 Estimate(math.nan, False, math.nan),
+                 Estimate(0.5, True, math.nan),
+                 Estimate(math.nan, False, None),
+                 Estimate(-0.0, True, -0.0)]
+    handed = iter(estimates)
+    monkeypatch.setattr(harness, "gen_update",
+                        lambda ctrl, *args, **kwargs: (ctrl.eta, next(handed)))
+    spec = spec_from_dict(_minimal(iterations=5, eta=None,
+                                   gen={"eta0": 1e-3}))
+    result = harness._execute(build_problem(spec.problem),
+                              lambda g, w, batch: g, spec)
+    assert result.status == "ok"
+    got = [(r.eta_candidate, r.fit_accepted, r.fit_r2)
+           for r in result.records]
+    assert repr(got) == repr([tuple(e) for e in estimates])
+    assert repr(list(result.column("eta_candidate"))) == repr(
+        [math.nan, math.nan, 0.5, math.nan, -0.0])
+    # the trajectory writes "" for None and nan for NaN
+    path = tmp_path / "t.csv"
+    cli.write_trajectory_csv(str(path), result)
+    rows = list(csv.DictReader(path.open(newline="")))
+    assert [(r["eta_candidate"], r["fit_accepted"], r["fit_r2"])
+            for r in rows] == [
+        ("", "false", ""), ("nan", "false", "nan"),
+        (cli.fmt(0.5), "true", "nan"), ("nan", "false", ""),
+        (cli.fmt(-0.0), "true", cli.fmt(-0.0))]
+
+
+def test_a_run_keeps_at_most_96_bytes_per_logged_step():
+    # every step of this adaptive run is logged with a fit's candidate and
+    # r2; a StepRecord per step, with the floats it points at, kept 240 B
+    spec = spec_from_dict(_minimal(iterations=20000, eta=None,
+                                   gen={"eta0": 1e-3, "phi": 1}))
+    run_experiment(spec_from_dict(_minimal(iterations=10)))  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_experiment(spec)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.status == "ok" and len(result.records) == 20000
+    assert kept / 20000 <= 96
