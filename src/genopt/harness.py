@@ -166,9 +166,7 @@ class ExperimentSpec:
         return out
 
 
-# one logged step packed: a float64 row of these StepRecord fields, in
-# this order, plus a flags byte that holds fit_accepted and which of the
-# optional fields are set, so that None stays apart from NaN
+# a logged step's float64 row and the bits of its flags byte (RunResult)
 _LOG_COLUMNS = ("step", "loss", "eta", "grad_norm", "eta_candidate",
                 "fit_r2")
 _LOG_ROW = struct.Struct(f"{len(_LOG_COLUMNS)}d")
@@ -214,6 +212,7 @@ class RunResult:
 
     @property
     def records(self) -> List[StepRecord]:
+        """One ``StepRecord`` per logged step, built on each read."""
         return [StepRecord(*fields) for fields in self.steps()]
 
     def column(self, name: str) -> array.array:
