@@ -184,6 +184,10 @@ class Objective:
     ``loss_grad(ws[k], batch)``, and without ``grad`` its losses carry
     those of ``loss``. The default loops ``loss_grad`` (or ``loss``) over
     the rows; an override must return the same bits.
+    ``hvp(w, v, batch)`` returns ``hessian(w, batch) @ v`` on the same
+    batch rows; the default multiplies the two, and an override (the
+    logistic problem's never forms the Hessian) must return the same
+    values up to rounding.
     No evaluation changes a later result, so implementations are safe for
     concurrent evaluation; a cache (the logistic problem keeps its last
     mini-batch) is allowed on that condition. ``batch`` is ignored by

@@ -65,24 +65,32 @@ def beale_hess(x1: float, x2: float):
 # ---------------------------------------------------------------------------
 # logistic regression, vectorized
 #
-# Both kernels share one pass over the margins z = x @ w. With
-# e = exp(-|z|) in [0, 1], softplus(z) = log(1 + exp(z)) is
-# max(z, 0) + log1p(e) and sigmoid(z) is 1 / (1 + e) for z > 0 and
-# e / (1 + e) otherwise. exp never sees a positive argument, so neither
-# form can overflow at any finite margin. The gradient takes the
-# sigmoid's numerator as max(e, [z > 0]): e <= 1, so that is exactly 1.0
-# where z > 0 and e elsewhere, nan included, without the branch of a
-# select, which mispredicts on margins of random sign. Work arrays are
-# updated in place (never x, y, w or z) in the operand order of
-# (max(z, 0) + log1p(e)) - y * z, so every rounding is the plain
-# expression's.
+# Every logistic kernel starts from one pass over the margins z = x @ w
+# (``_margins``). With e = exp(-|z|) in [0, 1], softplus(z) =
+# log(1 + exp(z)) is max(z, 0) + log1p(e), sigmoid(z) is 1 / (1 + e) for
+# z > 0 and e / (1 + e) otherwise, and its derivative
+# sigmoid(z) * (1 - sigmoid(z)) is e / (1 + e)^2 on both sides. exp never
+# sees a positive argument, so no form can overflow at any finite margin,
+# and the derivative stays positive until e underflows near |z| = 745.
+# The gradient takes the sigmoid's numerator as max(e, [z > 0]): e <= 1,
+# so that is exactly 1.0 where z > 0 and e elsewhere, nan included,
+# without the branch of a select, which mispredicts on margins of random
+# sign. Work arrays are updated in place (never x, y, w, v or z) in the
+# operand order of (max(z, 0) + log1p(e)) - y * z, so every rounding is
+# the plain expression's.
 
-def _forward(x, y, w, l2):
-    # (loss, z, e): the loss plus the margins and exp(-|z|) the gradient reuses
+def _margins(x, w):
+    # (z, e): the margins x @ w and exp(-|z|) in an array of its own
     z = x @ w
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    return z, e
+
+
+def _forward(x, y, w, l2):
+    # (loss, z, e): the loss plus the margins and exp(-|z|) the gradient reuses
+    z, e = _margins(x, w)
     t = np.maximum(z, 0.0)
     u = np.log1p(e)
     # softplus into u, then t = softplus - y * z; not t += u, which on a
@@ -93,6 +101,15 @@ def _forward(x, y, w, l2):
     # the pairwise sum and one rounded division of np.mean
     loss = float(t.sum()) / t.size + 0.5 * l2 * float(w @ w)
     return loss, z, e
+
+
+def _curvature(x, w):
+    # sigmoid'(x @ w) per row, e / (1 + e)^2, in e's array
+    e = _margins(x, w)[1]
+    t = e + 1.0
+    t *= t
+    e /= t
+    return e
 
 
 def logreg_loss(x, y, w, l2):
@@ -108,6 +125,21 @@ def logreg_loss_grad(x, y, w, l2):
     p -= y
     g = x.T @ p / x.shape[0] + l2 * w
     return loss, g
+
+
+def logreg_hvp(x, w, l2, v):
+    # the Hessian times v, x.T @ (s * (x @ v)) / n + l2 * v, without
+    # forming the Hessian or an n x d temporary
+    s = _curvature(x, w)
+    s *= x @ v
+    return x.T @ s / x.shape[0] + l2 * v
+
+
+def logreg_hessian(x, w, l2):
+    s = _curvature(x, w)
+    h = (x * s[:, None]).T @ x / x.shape[0]
+    h += l2 * np.eye(x.shape[1])
+    return h
 
 
 # genbench's kernel_path() reports "numpy" when logreg_loss is this alias

@@ -212,12 +212,13 @@ class LogisticRegressionProblem(Objective):
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x, _ = self._resolve(batch)
         w = as_param_vector(w, dim=self.dim)
-        z = x @ w
-        p = 0.5 * (1.0 + np.tanh(0.5 * z))  # overflow-free sigmoid
-        d = p * (1.0 - p)
-        h = (x * d[:, None]).T @ x / x.shape[0]
-        h += self.l2_penalty * np.eye(self.dim)
-        return h
+        return kernels.logreg_hessian(x, w, self.l2_penalty)
+
+    def hvp(self, w: Array, v: Array, batch: BatchSelector = FULL_DATA) -> Array:
+        x, _ = self._resolve(batch)
+        w = as_param_vector(w, dim=self.dim)
+        return kernels.logreg_hvp(x, w, self.l2_penalty,
+                                  np.asarray(v, dtype=np.float64))
 
 
 def _unpack2(w) -> Tuple[float, float]:

@@ -225,6 +225,72 @@ def test_logreg_noise_memo_never_changes_a_result():
 
 
 # ---------------------------------------------------------------------------
+# logistic curvature: the matrix-free hvp and the Hessian share sigmoid'
+
+
+def _logreg_hvp_cases():
+    # (problem, batch, w, v) on the full batch and one mini-batch, margins
+    # from near 0 to saturated
+    rng = np.random.default_rng(8)
+    for l2 in (0.0, 0.1):
+        p = _tiny_logreg(n=64, d=3, l2=l2)
+        for batch in (FULL_DATA, SyntheticNoise(seed=5, batch_size=16)):
+            for scale in (0.1, 1.0, 10.0):
+                yield (p, batch, rng.standard_normal(3) * scale,
+                       rng.standard_normal(3))
+
+
+def test_logreg_hvp_is_the_hessian_times_v():
+    for p, batch, w, v in _logreg_hvp_cases():
+        hv = p.hvp(w, v, batch)
+        want = p.hessian(w, batch) @ v
+        assert np.linalg.norm(hv - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_logreg_hvp_matches_a_central_difference_of_the_gradient():
+    h = 1e-5
+    for p, batch, w, v in _logreg_hvp_cases():
+        hv = p.hvp(w, v, batch)
+        fd = (p.loss_grad(w + h * v, batch)[1]
+              - p.loss_grad(w - h * v, batch)[1]) / (2.0 * h)
+        np.testing.assert_allclose(hv, fd, rtol=1e-6,
+                                   atol=1e-6 * np.linalg.norm(hv))
+
+
+def test_logreg_curvature_stays_positive_at_saturated_margins():
+    # one row x = 1 with w = z: the Hessian and the hvp along 1 are
+    # sigmoid'(z) itself, e / (1 + e)^2 with e = exp(-|z|). Past
+    # |z| = 37 the (1 + e)^2 rounds to 1, so it is exp(-|z|); a sigmoid
+    # that rounds to 1.0 there would give exactly 0
+    p = LogisticRegressionProblem(np.array([[1.0]]), np.array([0]))
+    mags = np.concatenate([np.logspace(-5, np.log10(700.0), 201), [700.0]])
+    for z in np.concatenate([-mags, mags]):
+        w = np.array([z])
+        s = p.hessian(w)[0, 0]
+        assert p.hvp(w, np.ones(1))[0] == s, z
+        assert 0.0 < s <= 0.25, z
+        if abs(z) > 37.0:
+            assert s == pytest.approx(np.exp(-abs(z)), rel=1e-15), z
+
+
+def test_logreg_hvp_keeps_no_n_by_d_temporary():
+    # one hvp allocates a few n-vectors, never the n x d product the
+    # dense Hessian builds
+    n, d = 65536, 8
+    p = generate_dataset(seed=1, n=n, d=d)
+    rng = np.random.default_rng(3)
+    w, v = rng.standard_normal(d), rng.standard_normal(d)
+    p.hvp(w, v)
+    tracemalloc.start()
+    try:
+        p.hvp(w, v)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * n
+
+
+# ---------------------------------------------------------------------------
 # loss_grad: one evaluation, the bits of loss and grad
 
 

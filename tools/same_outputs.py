@@ -17,11 +17,13 @@ more config whose adaptive experiments cover the gen settings no
 committed config takes (5-point probes, whose r2 column carries the
 fit's residual bits, phi > 1, decay, a low r2 threshold, the hvp
 estimator) on Rosenbrock, the quadratic and logreg with the full batch
-and with mini-batches. Then, in one more subprocess per tree, run every
-experiment of the committed configs and of the adaptive-shapes config
-that `run` and `compare` accept through `genopt.harness.run_experiment`,
-and compare the sha256 of its iterates (`np.asarray(result.ws,
-dtype=np.float64).tobytes()`), of `final_w.tobytes()` and of its records
+and with mini-batches, next to a fixed-rate Newton run on logreg, so the
+logistic curvature shows through both of its users. Then, in one more
+subprocess per tree, run every experiment of the committed configs and
+of the adaptive-shapes config that `run` and `compare` accept through
+`genopt.harness.run_experiment`, and compare the sha256 of its iterates
+(`np.asarray(result.ws, dtype=np.float64).tobytes()`), of
+`final_w.tobytes()` and of its records
 (`repr([dataclasses.astuple(r) for r in result.records])`), so that a
 report of no differences also proves every iterate kept its bits and
 every record field its value, None apart from NaN included. Every config
@@ -168,7 +170,8 @@ QUADRATIC = {"kind": "quadratic", "matrix_a": [[3.0, 1.0], [1.0, 2.0]],
              "offset": [1.0, 2.0]}
 LOGREG_RUN = dict(LOGREG, n=200, d=3, l2_penalty=0.01)
 FIVE = {"probe_points": 5, "phi": 3, "decay": True, "r2_threshold": 0.5}
-# experiments for run, one per adaptive shape
+# experiments for run, one per adaptive shape, and the logistic Newton
+# direction
 ADAPTIVE_SHAPES = [
     dict(SURFACE, name="rosenbrock-five", optimizer={"kind": "sgd"},
          gen=dict(FIVE, eta0=1.0e-3)),
@@ -187,6 +190,10 @@ ADAPTIVE_SHAPES = [
     dict(LOGREG_GRID, name="logreg-minibatch-hvp", problem=LOGREG_RUN,
          optimizer={"kind": "sgd"}, batch_size=16, seed=4,
          gen={"estimator": "hvp", "phi": 3, "decay": True}),
+    dict(LOGREG_GRID, name="logreg-full-hvp", problem=LOGREG_RUN,
+         optimizer={"kind": "sgd", "momentum": 0.5}, gen={"estimator": "hvp"}),
+    dict(LOGREG_GRID, name="logreg-newton", problem=LOGREG_RUN,
+         optimizer={"kind": "newton"}, eta=1.0),
 ]
 
 
