@@ -284,7 +284,7 @@ def test_logreg_hvp_keeps_no_n_by_d_temporary():
     tracemalloc.start()
     try:
         p.hvp(w, v)
-        kept, peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * n
