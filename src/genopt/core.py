@@ -190,7 +190,8 @@ class Objective:
     values up to rounding.
     No evaluation changes a later result, so implementations are safe for
     concurrent evaluation; a cache (the logistic problem keeps its last
-    mini-batch) is allowed on that condition. ``batch`` is ignored by
+    mini-batch draw and its last forward pass) is allowed on that
+    condition. ``batch`` is ignored by
     deterministic objectives.
     """
 

@@ -78,6 +78,11 @@ def beale_hess(x1: float, x2: float):
 # sign. Work arrays are updated in place (never x, y, w, v or z) in the
 # operand order of (max(z, 0) + log1p(e)) - y * z, so every rounding is
 # the plain expression's.
+#
+# ``logreg_loss`` and ``logreg_loss_grad`` take an optional ``kept`` list:
+# an empty one receives the call's forward pass (loss, z, e), and one that
+# holds the pass of the same operands hands it in, so the call computes
+# only what the pass lacks. No kernel writes into a kept pass's arrays.
 
 def _margins(x, w):
     # (z, e): the margins x @ w and exp(-|z|) in an array of its own
@@ -88,8 +93,11 @@ def _margins(x, w):
     return z, e
 
 
-def _forward(x, y, w, l2):
-    # (loss, z, e): the loss plus the margins and exp(-|z|) the gradient reuses
+def _forward(x, y, w, l2, kept):
+    # (loss, z, e): the loss plus the margins and exp(-|z|) the gradient
+    # reuses; the pass a ``kept`` list holds, as it is
+    if kept:
+        return kept[0]
     z, e = _margins(x, w)
     t = np.maximum(z, 0.0)
     u = np.log1p(e)
@@ -100,6 +108,8 @@ def _forward(x, y, w, l2):
     np.subtract(u, t, out=t)
     # the pairwise sum and one rounded division of np.mean
     loss = float(t.sum()) / t.size + 0.5 * l2 * float(w @ w)
+    if kept is not None:
+        kept.append((loss, z, e))
     return loss, z, e
 
 
@@ -112,15 +122,16 @@ def _curvature(x, w):
     return e
 
 
-def logreg_loss(x, y, w, l2):
-    return _forward(x, y, w, l2)[0]
+def logreg_loss(x, y, w, l2, kept=None):
+    return _forward(x, y, w, l2, kept)[0]
 
 
-def logreg_loss_grad(x, y, w, l2):
-    loss, z, e = _forward(x, y, w, l2)
+def logreg_loss_grad(x, y, w, l2, kept=None):
+    loss, z, e = _forward(x, y, w, l2, kept)
     p = (z > 0.0).astype(np.float64)
     np.maximum(e, p, out=p)
-    e += 1.0
+    # 1 + e, in e's array unless the pass is kept
+    e = np.add(e, 1.0, out=None if kept is not None else e)
     p /= e
     p -= y
     g = x.T @ p / x.shape[0] + l2 * w

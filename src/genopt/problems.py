@@ -140,7 +140,10 @@ class LogisticRegressionProblem(Objective):
     Labels are 0/1. Mini-batches select rows of the feature matrix; see
     ``SyntheticNoise`` for the seeded sampling contract. The rows of the
     last ``SyntheticNoise`` draw are kept, so repeated evaluations on one
-    batch draw it once.
+    batch draw it once. The last forward pass of ``loss``, ``grad`` or
+    ``loss_grad`` is kept too, so a later one at the same bits of ``w`` on
+    the same batch (a step that lands on its probe point) computes only
+    what that pass lacks.
     """
 
     def __init__(self, features, labels, l2_penalty: float = 0.0):
@@ -169,6 +172,9 @@ class LogisticRegressionProblem(Objective):
         # (selector, x, y) of the last SyntheticNoise draw, replaced as one
         # tuple so a concurrent reader never sees a mixed set
         self._noise_memo = None
+        # ((w bytes, selector), (loss, z, e)) of the last forward pass,
+        # replaced as one tuple likewise
+        self._pass_memo = None
 
     def _resolve(self, batch: BatchSelector) -> Tuple[Array, Array]:
         if isinstance(batch, FullData):
@@ -192,31 +198,46 @@ class LogisticRegressionProblem(Objective):
             return memo[1], memo[2]
         raise TypeError(f"unsupported batch selector: {batch!r}")
 
-    def loss(self, w: Array, batch: BatchSelector = FULL_DATA) -> float:
+    def _evaluate(self, kernel, w: Array, batch: BatchSelector):
+        # kernel(x, y, w, l2, kept) on the batch rows and the checked w,
+        # handing it the kept pass when that was made at the same bits of w
+        # on the same batch. A pass that misses drops the kept one before it
+        # runs, so the peak holds one pass, and is kept in its place.
         x, y = self._resolve(batch)
         w = as_param_vector(w, dim=self.dim)
-        return float(kernels.logreg_loss(x, y, w, self.l2_penalty))
+        key = (w.tobytes(), batch)
+        memo = self._pass_memo
+        if memo is not None and memo[0] == key:
+            kept = [memo[1]]
+        else:
+            # the local name too, which would keep the pass alive
+            memo = self._pass_memo = None
+            kept = []
+        out = kernel(x, y, w, self.l2_penalty, kept)
+        self._pass_memo = (key, kept[0])
+        return out
+
+    def loss(self, w: Array, batch: BatchSelector = FULL_DATA) -> float:
+        return float(self._evaluate(kernels.logreg_loss, w, batch))
 
     def grad(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
-        x, y = self._resolve(batch)
-        w = as_param_vector(w, dim=self.dim)
-        _, g = kernels.logreg_loss_grad(x, y, w, self.l2_penalty)
+        _, g = self._evaluate(kernels.logreg_loss_grad, w, batch)
         return np.asarray(g)
 
     def loss_grad(self, w: Array, batch: BatchSelector = FULL_DATA):
-        x, y = self._resolve(batch)
-        w = as_param_vector(w, dim=self.dim)
-        loss, g = kernels.logreg_loss_grad(x, y, w, self.l2_penalty)
+        loss, g = self._evaluate(kernels.logreg_loss_grad, w, batch)
         return float(loss), np.asarray(g)
 
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x, _ = self._resolve(batch)
         w = as_param_vector(w, dim=self.dim)
+        self._pass_memo = None  # the curvature makes a pass of its own
         return kernels.logreg_hessian(x, w, self.l2_penalty)
 
     def hvp(self, w: Array, v: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x, _ = self._resolve(batch)
         w = as_param_vector(w, dim=self.dim)
+        self._pass_memo = None
         return kernels.logreg_hvp(x, w, self.l2_penalty,
                                   np.asarray(v, dtype=np.float64))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import genopt
-from genopt import harness
+from genopt import harness, kernels
 from genopt.core import FULL_DATA, Objective
 
 
@@ -13,6 +13,21 @@ def fresh_dataset_memo():
     """Start every test with no logreg dataset built in the process, so no
     test depends on which dataset an earlier one left in the memo."""
     harness._logreg_dataset.cache_clear()
+
+
+@pytest.fixture
+def margin_passes(monkeypatch):
+    """The number of logistic forward passes (``kernels._margins`` calls)
+    made while the test runs."""
+    passes = [0]
+    inner = kernels._margins
+
+    def counting(*args):
+        passes[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, "_margins", counting)
+    return passes
 
 
 def fd_gradient(obj, w, h=1e-6, batch=FULL_DATA):

@@ -224,6 +224,76 @@ def test_logreg_noise_memo_never_changes_a_result():
         np.testing.assert_array_equal(p.hessian(w, b), fresh.hessian(w, b))
 
 
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("batch", [FULL_DATA,
+                                   SyntheticNoise(seed=5, batch_size=16)])
+def test_logreg_reuses_its_last_pass_at_the_same_point(margin_passes, batch):
+    # loss and loss_grad after a loss at the same (w, batch) take its pass:
+    # no new pass, the bits of a fresh problem, and the kept arrays intact
+    p = _tiny_logreg(n=64, d=3, l2=0.1)
+    w = np.array([0.3, -0.5, 2.0])
+    loss = p.loss(w, batch)
+    kept = p._pass_memo[1][1:]
+    before = [a.tobytes() for a in kept]
+    assert margin_passes[0] == 1
+    want_loss = _tiny_logreg(n=64, d=3, l2=0.1).loss(w, batch)
+    want_l, want_g = _tiny_logreg(n=64, d=3, l2=0.1).loss_grad(w, batch)
+    margin_passes[0] = 0
+    assert _bits(loss) == _bits(want_loss)
+    # a list and a fresh copy carry the same bits of w
+    assert _bits(p.loss(list(w), batch)) == _bits(want_loss)
+    got_l, got_g = p.loss_grad(w.copy(), batch)
+    assert _bits(got_l) == _bits(want_l) and got_g.tobytes() == want_g.tobytes()
+    assert p.grad(w, batch).tobytes() == want_g.tobytes()
+    assert _bits(p.loss(w, batch)) == _bits(want_loss)
+    assert margin_passes[0] == 0
+    assert [a.tobytes() for a in kept] == before
+
+
+def test_logreg_recomputes_at_another_point_or_batch(margin_passes):
+    p = _tiny_logreg(n=64, d=3, l2=0.1)
+    w = np.array([0.3, -0.5, 2.0])
+    b = SyntheticNoise(seed=5, batch_size=16)
+    p.loss(w, b)
+    others = [(np.nextafter(w, 1.0), b),
+              (w, SyntheticNoise(seed=6, batch_size=16)),
+              (w, SyntheticNoise(seed=5, batch_size=17)),
+              (w, FULL_DATA),
+              (np.array([0.3, -0.5, -2.0]), FULL_DATA)]
+    for k, (w2, b2) in enumerate(others, start=2):
+        fresh = _tiny_logreg(n=64, d=3, l2=0.1)
+        got_l, got_g = p.loss_grad(w2, b2)
+        want_l, want_g = fresh.loss_grad(w2, b2)
+        assert _bits(got_l) == _bits(want_l) and got_g.tobytes() == want_g.tobytes()
+        # one pass for p, one for the fresh problem
+        assert margin_passes[0] == 2 * k - 1
+
+
+@pytest.mark.parametrize("evaluate", ["loss", "loss_grad", "hvp"])
+def test_logreg_drops_its_kept_pass_before_a_new_one(evaluate):
+    # a pass at another point, or the hvp's curvature pass, frees the kept
+    # margins before it allocates its own, so it needs at most two
+    # n-vectors more than the kept pass
+    n, d = 65536, 8
+    p = generate_dataset(seed=1, n=n, d=d)
+    rng = np.random.default_rng(3)
+    w, v = rng.standard_normal(d), rng.standard_normal(d)
+    args = (w, v) if evaluate == "hvp" else (v,)
+    tracemalloc.start()
+    try:
+        p.loss(w)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        getattr(p, evaluate)(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 3 * 8 * n
+
+
 # ---------------------------------------------------------------------------
 # logistic curvature: the matrix-free hvp and the Hessian share sigmoid'
 
