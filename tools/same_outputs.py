@@ -17,8 +17,10 @@ more config whose adaptive experiments cover the gen settings no
 committed config takes (5-point probes, whose r2 column carries the
 fit's residual bits, phi > 1, decay, a low r2 threshold, the hvp
 estimator) on Rosenbrock, the quadratic and logreg with the full batch
-and with mini-batches, next to a fixed-rate Newton run on logreg, so the
-logistic curvature shows through both of its users. Then, in one more
+and with mini-batches, next to a full-batch 3-point logreg fit with
+rejected fits, whose steps land on their probe points, and a fixed-rate
+Newton run on logreg, so the logistic curvature shows through both of
+its users. Then, in one more
 subprocess per tree, run every experiment of the committed configs and
 of the adaptive-shapes config that `run` and `compare` accept through
 `genopt.harness.run_experiment`, and compare the sha256 of its iterates
@@ -184,6 +186,10 @@ ADAPTIVE_SHAPES = [
          gen={"estimator": "hvp", "phi": 3, "decay": True, "eta0": 0.1}),
     dict(LOGREG_GRID, name="logreg-full-five", problem=LOGREG_RUN,
          optimizer={"kind": "adamw"}, gen=dict(FIVE, eta0=0.01)),
+    # 17 of its 40 fits are rejected, so 17 steps land on their +1 probe
+    dict(LOGREG_GRID, name="logreg-full-three", problem=LOGREG_RUN,
+         optimizer={"kind": "sgd", "momentum": 0.9},
+         gen={"eta0": 0.01, "phi": 1}),
     dict(LOGREG_GRID, name="logreg-minibatch-five", problem=LOGREG_RUN,
          optimizer={"kind": "sgd", "momentum": 0.9}, batch_size=16, seed=3,
          gen=dict(FIVE, gamma=0.5)),
