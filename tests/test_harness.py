@@ -1455,41 +1455,29 @@ def test_minibatch_step_draws_its_batch_once(monkeypatch, kernel_calls):
     assert kernel_calls == {"loss": 3 * n, "loss_grad": n}
 
 
-@pytest.mark.parametrize("optimizer, eta0, extra", [
-    ({"kind": "sgd", "momentum": 0.9}, 0.5, 0),
-    ({"kind": "adamw"}, "auto", len(ETA0_GRID))])
-def test_full_batch_step_on_its_probe_reuses_the_probes_pass(
-        margin_passes, optimizer, eta0, extra):
+@pytest.mark.parametrize("optimizer, eta0, batch_size, per_step, start", [
+    # full batch: two probes and a loss_grad per step, one loss_grad to
+    # start and the starting-rate search's grid
+    ({"kind": "sgd", "momentum": 0.9}, 0.5, None, 3, 1),
+    ({"kind": "adamw"}, "auto", None, 3, 1 + len(ETA0_GRID)),
+    # mini-batch: a loss_grad, two probes and a post-step loss per step
+    ({"kind": "adamw"}, 0.5, 16, 4, 0)])
+def test_step_on_its_probe_reuses_the_probes_pass(
+        margin_passes, optimizer, eta0, batch_size, per_step, start):
     # a rejected fit leaves eta bit-identical, so its step lands on the +1
-    # probe w - eta * d, and the post-step loss_grad takes the probe's pass
+    # probe w - eta * d, and the post-step evaluation takes the probe's pass
     n = 12
     spec = spec_from_dict({
         "problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
         "optimizer": optimizer,
         "iterations": n,
+        "batch_size": batch_size,
         "gen": {"eta0": eta0, "phi": 1},
     })
     result = run_experiment(spec)
     rejected = result.gen_stats["fits_rejected"]
     assert result.status == "ok" and rejected > 0
-    assert margin_passes[0] == 3 * n + 1 - rejected + extra
-
-
-def test_minibatch_post_step_loss_on_its_probe_makes_no_pass(margin_passes):
-    # each step makes a loss_grad, two probes and a post-step loss on one
-    # batch; after a rejected fit that loss is the +1 probe's
-    n = 12
-    spec = spec_from_dict({
-        "problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
-        "optimizer": {"kind": "adamw"},
-        "iterations": n,
-        "batch_size": 16,
-        "gen": {"eta0": 0.5, "phi": 1},
-    })
-    result = run_experiment(spec)
-    rejected = result.gen_stats["fits_rejected"]
-    assert result.status == "ok" and rejected > 0
-    assert margin_passes[0] == 4 * n - rejected
+    assert margin_passes[0] == per_step * n + start - rejected
 
 
 def _run_fingerprint(result):

@@ -20,10 +20,10 @@ estimator) on Rosenbrock, the quadratic and logreg with the full batch
 and with mini-batches, next to a full-batch 3-point logreg fit with
 rejected fits, whose steps land on their probe points, and a fixed-rate
 Newton run on logreg, so the logistic curvature shows through both of
-its users. Then, in one more
-subprocess per tree, run every experiment of the committed configs and
-of the adaptive-shapes config that `run` and `compare` accept through
-`genopt.harness.run_experiment`, and compare the sha256 of its iterates
+its users. Then, in one more subprocess per tree, run every experiment
+of the committed configs and of the adaptive-shapes config that `run`
+and `compare` accept through `genopt.harness.run_experiment`, and
+compare the sha256 of its iterates
 (`np.asarray(result.ws, dtype=np.float64).tobytes()`), of
 `final_w.tobytes()` and of its records
 (`repr([dataclasses.astuple(r) for r in result.records])`), so that a
