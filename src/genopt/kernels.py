@@ -130,9 +130,8 @@ def logreg_loss_grad(x, y, w, l2, kept=None):
     loss, z, e = _forward(x, y, w, l2, kept)
     p = (z > 0.0).astype(np.float64)
     np.maximum(e, p, out=p)
-    # 1 + e, in e's array unless the pass is kept
-    e = np.add(e, 1.0, out=None if kept is not None else e)
-    p /= e
+    # 1 + e in an array of its own: e may belong to a kept pass
+    p /= e + 1.0
     p -= y
     g = x.T @ p / x.shape[0] + l2 * w
     return loss, g
