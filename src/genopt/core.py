@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,24 @@ def as_param_vector(values, dim: Optional[int] = None) -> Array:
     if not all_finite(arr):
         raise NonFiniteError("parameter vector contains NaN or Inf")
     return arr
+
+
+def operands(first, *rest, shape: Optional[tuple] = None) -> List[Array]:
+    """The operands of a public entry as float64 arrays, without a copy of
+    one that already is; ``DimensionMismatchError`` unless they share one
+    shape, ``shape`` when given."""
+    arr = np.asarray(first, dtype=np.float64)
+    want = arr.shape if shape is None else shape
+    arrs = [arr]
+    for value in rest:  # each array is checked before the next converts
+        if arr.shape != want:
+            break
+        arr = np.asarray(value, dtype=np.float64)
+        arrs.append(arr)
+    if arr.shape != want:
+        raise DimensionMismatchError(
+            f"expected operands of shape {want}, got {arr.shape}")
+    return arrs
 
 
 def finite_array(arr: Array) -> bool:
@@ -222,6 +240,7 @@ class Objective:
         raise NotImplementedError("objective has no exact hessian")
 
     def hvp(self, w: Array, v: Array, batch: BatchSelector = FULL_DATA) -> Array:
+        w, v = operands(w, v)
         return self.hessian(w, batch) @ v
 
 

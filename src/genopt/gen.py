@@ -28,11 +28,11 @@ from .core import (
     Array,
     BatchSelector,
     FULL_DATA,
-    DimensionMismatchError,
     NonFiniteError,
     Objective,
     check_setting,
     finite_array,
+    operands,
 )
 from .optim import apply_step
 
@@ -86,18 +86,8 @@ def probe_losses(obj: Objective, w: Array, direction: Array, eta_prev: float,
     check_setting("gen.", "probe_points", points, "points")
     if not (eta_prev > 0 and math.isfinite(eta_prev)):
         raise ValueError(f"eta_prev must be positive and finite, got {eta_prev}")
-    w, d = _operands(w, direction)
+    w, d = operands(w, direction)
     return _probe(obj, w, d, eta_prev, batch, points, l_zero)
-
-
-def _operands(w: Array, direction: Array) -> Tuple[Array, Array]:
-    # the probes' parameters and direction as float64 arrays of one shape
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    if w.shape != d.shape:
-        raise DimensionMismatchError(
-            f"parameter shape {w.shape} != direction shape {d.shape}")
-    return w, d
 
 
 def _probe(obj: Objective, w: Array, d: Array, eta_prev: float,
@@ -280,7 +270,7 @@ def _estimate(ctrl: GenController, obj: Objective, w: Array,
         candidate = exact_eta_hvp(obj, w, raw_grad, direction, batch=batch)
         return Estimate(candidate, (candidate is not None and candidate > 0.0
                                     and math.isfinite(candidate)))
-    w, d = _operands(w, direction)
+    w, d = operands(w, direction)
     try:
         probes = _probe(obj, w, d, float(ctrl.eta), batch,
                         ctrl.probe_points, l_zero)
@@ -344,11 +334,7 @@ def exact_eta_hvp(obj: Objective, w: Array, raw_grad: Array, direction: Array,
     (a zero direction included), since the quadratic model has no minimum
     along d in that case.
     """
-    w = np.asarray(w, dtype=np.float64)
-    g = np.asarray(raw_grad, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    if w.shape != g.shape or w.shape != d.shape:
-        raise ValueError("w, raw_grad, and direction must share a shape")
+    w, g, d = operands(w, raw_grad, direction)
     hd = obj.hvp(w, d, batch)
     denom = float(np.dot(d, hd))
     num = float(np.dot(g, d))
@@ -373,8 +359,7 @@ def auto_search_eta0(obj: Objective, w: Array, direction: Array,
     current loss is ``l_zero`` when the caller already has it, else it is
     evaluated here. Raises NonFiniteError when every grid point blows up.
     """
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
+    w, d = operands(w, direction)
     l_current = float(obj.loss(w, batch) if l_zero is None else l_zero)
     best_eta = None
     best_loss = math.inf

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (Array, DimensionMismatchError, check_finite,
-                   check_setting, norm)
+                   check_setting, norm, operands)
 
 
 @dataclass
@@ -81,13 +81,10 @@ def _shape(state):
     return (state.dim,) if state.rows is None else (state.rows, state.dim)
 
 
-def _operand(state, values, what: str) -> Array:
-    # a rule's gradient or parameters: the state's buffer shape, all finite
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != _shape(state):
-        raise DimensionMismatchError(
-            f"expected a {what} of shape {_shape(state)}, got {arr.shape}")
-    return check_finite(arr, what)
+def _operands(state, raw_grad, w):
+    # a rule's gradient and parameters: the state's buffer shape, all finite
+    g, w = operands(raw_grad, w, shape=_shape(state))
+    return check_finite(g, "gradient"), check_finite(w, "parameter")
 
 
 def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
@@ -96,8 +93,7 @@ def sgd_direction(state: SgdState, raw_grad: Array, w: Array) -> Array:
     Mutates ``state.velocity`` in place; the returned array is a copy, so
     callers may scale it freely.
     """
-    return _sgd_rule(state, _operand(state, raw_grad, "gradient"),
-                     _operand(state, w, "parameter"))
+    return _sgd_rule(state, *_operands(state, raw_grad, w))
 
 
 def _sgd_rule(state: SgdState, g: Array, w: Array) -> Array:
@@ -111,8 +107,7 @@ def _sgd_rule(state: SgdState, g: Array, w: Array) -> Array:
 
 def adamw_direction(state: AdamWState, raw_grad: Array, w: Array) -> Array:
     """One Adam moment update with bias correction, decay applied to w directly."""
-    return _adamw_rule(state, _operand(state, raw_grad, "gradient"),
-                       _operand(state, w, "parameter"))
+    return _adamw_rule(state, *_operands(state, raw_grad, w))
 
 
 def _adamw_rule(state: AdamWState, g: Array, w: Array) -> Array:
@@ -192,12 +187,7 @@ def post_process(pp: PostProcessor, g: Array) -> Array:
 
 def apply_step(w: Array, eta: float, direction: Array) -> Array:
     """Return w - eta * direction as a fresh array."""
-    w = np.asarray(w, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    if w.shape != d.shape:
-        raise DimensionMismatchError(
-            f"parameter shape {w.shape} != direction shape {d.shape}"
-        )
+    w, d = operands(w, direction)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
     out = w - eta * d

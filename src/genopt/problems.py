@@ -18,10 +18,12 @@ from .core import (
     BatchSelector,
     FULL_DATA,
     FullData,
+    DimensionMismatchError,
     Objective,
     SyntheticNoise,
     as_param_vector,
     check_setting,
+    operands,
 )
 
 
@@ -236,24 +238,22 @@ class LogisticRegressionProblem(Objective):
 
     def hvp(self, w: Array, v: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x, _ = self._resolve(batch)
-        w = as_param_vector(w, dim=self.dim)
+        w, v = operands(as_param_vector(w, dim=self.dim), v)
         self._pass_memo = None
-        return kernels.logreg_hvp(x, w, self.l2_penalty,
-                                  np.asarray(v, dtype=np.float64))
+        return kernels.logreg_hvp(x, w, self.l2_penalty, v)
 
 
 def _unpack2(w) -> Tuple[float, float]:
     arr = np.asarray(w, dtype=np.float64)
     if arr.shape != (2,):
-        raise ValueError(f"expected a 2-D parameter vector, got shape {arr.shape}")
+        raise DimensionMismatchError(f"expected shape (2,), got {arr.shape}")
     return float(arr[0]), float(arr[1])
 
 
 def _columns2(ws) -> Tuple[Array, Array]:
     arr = np.asarray(ws, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected a block of 2-D parameter rows, got shape "
-                         f"{arr.shape}")
+        raise DimensionMismatchError(f"expected shape (K, 2), got {arr.shape}")
     return arr[:, 0], arr[:, 1]
 
 

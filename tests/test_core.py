@@ -6,6 +6,22 @@ import pickle
 import numpy as np
 import pytest
 
+from genopt import (
+    AdamWState,
+    BealeProblem,
+    GenController,
+    QuadraticProblem,
+    RosenbrockProblem,
+    SgdState,
+    adamw_direction,
+    apply_step,
+    auto_search_eta0,
+    exact_eta_hvp,
+    gen_update,
+    generate_dataset,
+    probe_losses,
+    sgd_direction,
+)
 from genopt.core import (
     FULL_DATA,
     DimensionMismatchError,
@@ -42,6 +58,47 @@ def test_as_param_vector_rejects_bad_input():
         as_param_vector([np.inf])
     with pytest.raises(DimensionMismatchError):
         as_param_vector([1.0, 2.0], dim=3)
+
+
+# two-entry parameters, and a vector and a block of rows one entry too wide
+_W2, _W3, _ROWS3 = np.zeros(2), np.zeros(3), np.zeros((4, 3))
+_PROBLEMS = {"rosenbrock": RosenbrockProblem(), "beale": BealeProblem(),
+             "quadratic": QuadraticProblem(np.eye(2)),
+             "logreg": generate_dataset(0, 8, 2)}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: probe_losses(_PROBLEMS["quadratic"], _W2, _W3, 0.5),
+                 id="probe_losses"),
+    pytest.param(lambda: gen_update(GenController(eta=0.1, phi=1),
+                                    _PROBLEMS["quadratic"], _W2, _W3),
+                 id="gen_update-fit"),
+    pytest.param(lambda: gen_update(
+        GenController(eta=0.1, phi=1, estimator="hvp"),
+        _PROBLEMS["quadratic"], _W2, _W2, raw_grad=_W3),
+        id="gen_update-hvp"),
+    pytest.param(lambda: exact_eta_hvp(_PROBLEMS["quadratic"], _W2, _W3, _W2),
+                 id="exact_eta_hvp"),
+    pytest.param(lambda: auto_search_eta0(_PROBLEMS["quadratic"], _W2, _W3),
+                 id="auto_search_eta0"),
+    pytest.param(lambda: apply_step(_W2, 0.1, _W3), id="apply_step"),
+    pytest.param(lambda: sgd_direction(SgdState(2), _W3, _W2),
+                 id="sgd_direction"),
+    pytest.param(lambda: adamw_direction(AdamWState(2), _W2, _W3),
+                 id="adamw_direction"),
+] + [
+    pytest.param(call, id=f"{name}-{method}")
+    for name, problem in _PROBLEMS.items()
+    for method, call in (
+        ("loss", lambda p=problem: p.loss(_W3)),
+        ("loss_grad", lambda p=problem: p.loss_grad(_W3)),
+        ("loss_grad_rows", lambda p=problem: p.loss_grad_rows(_ROWS3)),
+        ("hvp", lambda p=problem: p.hvp(_W2, _W3)))
+])
+def test_mismatched_operands_raise_dimension_mismatch(call):
+    # one exception class for one mistake, whichever entry sees it
+    with pytest.raises(DimensionMismatchError):
+        call()
 
 
 def test_check_finite_passthrough_and_raise():
