@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-import numpy as np
 import yaml
 
 from .harness import (
@@ -61,12 +60,12 @@ def fmt(value) -> str:
     """Canonical cell formatting: floats at 17 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.16e}"
     return str(value)
 
 
