@@ -1413,24 +1413,39 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("eta0, extra", [(0.5, 0), ("auto", len(ETA0_GRID))])
-def test_full_batch_step_costs_three_kernel_passes(kernel_calls, eta0, extra):
-    # every step probes twice and carries its post-step loss and gradient
-    # into the next one; only the last step needs its post-step loss alone.
-    # The starting-rate search reuses the current loss: one pass per point.
-    n = 12
+def _fit_calls(n, phi, points, eta0):
+    # loss calls of the fits and the starting-rate search in an n-step run:
+    # a fit every phi steps probes points - 1 off-centre points and takes
+    # the current loss as its centre, and the search reuses that loss too,
+    # one pass per grid point
+    return (points - 1) * (n // phi) + (len(ETA0_GRID) if eta0 == "auto"
+                                        else 0)
+
+
+@pytest.mark.parametrize("eta0", [0.5, "auto"])
+@pytest.mark.parametrize("points", [3, 5])
+@pytest.mark.parametrize("phi", [1, 3])
+def test_full_batch_run_kernel_calls(kernel_calls, phi, points, eta0):
+    # every step carries its post-step loss and gradient into the next
+    # one; only the last step needs its post-step loss alone
+    n = 10
     spec = spec_from_dict({
         "problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
         "optimizer": {"kind": "sgd"},
         "iterations": n,
-        "gen": {"eta0": eta0, "phi": 1},
+        "gen": {"eta0": eta0, "phi": phi, "probe_points": points},
     })
     result = run_experiment(spec)
     assert result.status == "ok" and len(result.records) == n
-    assert kernel_calls == {"loss": 2 * n + 1 + extra, "loss_grad": n}
+    assert kernel_calls == {"loss": 1 + _fit_calls(n, phi, points, eta0),
+                            "loss_grad": n}
 
 
-def test_minibatch_step_draws_its_batch_once(monkeypatch, kernel_calls):
+@pytest.mark.parametrize("eta0", [0.5, "auto"])
+@pytest.mark.parametrize("points", [3, 5])
+@pytest.mark.parametrize("phi", [1, 3])
+def test_minibatch_step_draws_its_batch_once(monkeypatch, kernel_calls, phi,
+                                             points, eta0):
     seeds = []
     default_rng = np.random.default_rng
 
@@ -1445,14 +1460,16 @@ def test_minibatch_step_draws_its_batch_once(monkeypatch, kernel_calls):
         "optimizer": {"kind": "sgd"},
         "iterations": n,
         "batch_size": 16,
-        "gen": {"eta0": 0.5, "phi": 1},
+        "gen": {"eta0": eta0, "phi": phi, "probe_points": points},
     })
     result = run_experiment(spec)
     assert result.status == "ok"
-    # one draw builds the dataset, then one per step for four evaluations
+    # one draw builds the dataset, then one per step serves all of its
+    # evaluations: a loss_grad, the fit's probes and the post-step loss
     assert seeds[0] == 3 and len(seeds) == n + 1
     assert len(set(seeds[1:])) == n
-    assert kernel_calls == {"loss": 3 * n, "loss_grad": n}
+    assert kernel_calls == {"loss": n + _fit_calls(n, phi, points, eta0),
+                            "loss_grad": n}
 
 
 @pytest.mark.parametrize("optimizer, eta0, batch_size, per_step, start", [
