@@ -20,7 +20,12 @@ from typing import Dict, List, Optional
 
 import yaml
 
+from .core import batch_stream
 from .harness import (
+    _ACCEPTED,
+    _HAS_CANDIDATE,
+    _HAS_R2,
+    _LOG_COLUMNS,
     ExperimentSpec,
     RunResult,
     SpecError,
@@ -127,13 +132,31 @@ def _write_rows(path: str, header, rows) -> None:
         w.writerows(rows)
 
 
+def _trajectory_row(flags: int) -> str:
+    # the format string of a trajectory line with log flags ``flags``,
+    # taking the row's values in _LOG_COLUMNS order and then its status;
+    # each cell has the bits fmt gives it, "" for an unset optional one
+    return ",".join((
+        "{0:.0f}", "{1:.16e}", "{2:.16e}",
+        "{4:.16e}" if flags & _HAS_CANDIDATE else "",
+        "true" if flags & _ACCEPTED else "false",
+        "{5:.16e}" if flags & _HAS_R2 else "", "{3:.16e}", "{6}\n"))
+
+
+_TRAJECTORY_ROWS = [_trajectory_row(flags) for flags in range(8)]
+
+
 def write_trajectory_csv(path: str, result: RunResult) -> None:
+    # one format call per line, streamed; every line but the last has
+    # status "ok"
     last = len(result.log_flags) - 1
-    _write_rows(path, TRAJECTORY_COLUMNS, (
-        [fmt(step), fmt(loss), fmt(eta), fmt(candidate), fmt(accepted),
-         fmt(r2), fmt(grad_norm), result.status if i == last else "ok"]
-        for i, (step, loss, eta, grad_norm, candidate, accepted, r2)
-        in enumerate(result.steps())))
+    rows = zip(zip(*(result.column(name) for name in _LOG_COLUMNS)),
+               result.log_flags)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        f.writelines(_TRAJECTORY_ROWS[flags].format(
+            *values, result.status if i == last else "ok")
+            for i, (values, flags) in enumerate(rows))
 
 
 def write_summary_csv(path: str, specs: List[ExperimentSpec],
@@ -198,8 +221,9 @@ def _command(config_path: str, output_dir: Optional[str],
              seed: Optional[int], body, vet=None) -> int:
     """Load the config, override the seeds, let ``vet(specs)`` reject the
     experiments before the output directory exists, create it and return
-    ``body(specs, out)``. A config error exits 2, an I/O error or running
-    out of memory 3.
+    ``body(specs, out)`` inside one batch stream, so the command's runs
+    draw each mini-batch once. A config error exits 2, an I/O error or
+    running out of memory 3.
     """
     try:
         if seed is not None and seed < 0:
@@ -213,7 +237,8 @@ def _command(config_path: str, output_dir: Optional[str],
             vet(specs)
         out = output_dir or config.output_dir
         os.makedirs(out, exist_ok=True)
-        return body(specs, out)
+        with batch_stream():
+            return body(specs, out)
     except SpecError as e:
         _err(e.code, e)
         return 2

@@ -9,7 +9,9 @@ boundary instead of propagating NaN into downstream state.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -49,8 +51,11 @@ def norm(v: Array) -> float:
 def as_param_vector(values, dim: Optional[int] = None) -> Array:
     """Validate ``values`` as a finite 1-D float64 vector and return a copy."""
     arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("parameter vector must be 1-D with at least one entry")
+    if arr.ndim != 1:
+        raise DimensionMismatchError(
+            f"parameter vector must be 1-D, got shape {arr.shape}")
+    if arr.size < 1:
+        raise ValueError("parameter vector must have at least one entry")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(
             f"expected dimension {dim}, got {arr.size}"
@@ -186,6 +191,26 @@ class SyntheticNoise:
 BatchSelector = Union[FullData, SyntheticNoise]
 
 FULL_DATA = FullData()
+
+# The mini-batches of the command running now, as (child seeds, indices):
+# harness._step_batch's child seeds of each (seed, block of steps), and
+# the sorted row indices of each (selector seed, batch size, n) draw. A
+# draw is a pure function of its key, so runs that share one change no
+# bit. None outside ``batch_stream``, so a lone run draws its own batches.
+_BATCH_STREAM: ContextVar[Optional[Tuple[dict, dict]]] = ContextVar(
+    "batch_stream", default=None)
+
+
+@contextlib.contextmanager
+def batch_stream():
+    """Draw each mini-batch once across the runs made inside; leaving
+    drops the draws. The stream keeps child seeds and row indices (8
+    bytes per batch row), never the rows."""
+    token = _BATCH_STREAM.set(({}, {}))
+    try:
+        yield
+    finally:
+        _BATCH_STREAM.reset(token)
 
 
 # ---------------------------------------------------------------------------

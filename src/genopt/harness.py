@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    _BATCH_STREAM,
     SETTINGS,
     Array,
     BatchSelector,
@@ -458,10 +459,69 @@ def build_direction_fn(problem: Objective, optimizer: Dict,
     return state, lambda g, w, batch: post_process(pp, raw(g, w, batch))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# steps whose child seeds a batch stream computes in one call
+_BLOCK = 256
+
+
+def _child_seeds(seed: int, steps: Array) -> Array:
+    """``SeedSequence([seed, step]).generate_state(1)[0]`` for each entry
+    of ``steps``, a uint32 array: numpy's entropy mixing, run on every
+    step at once in wrapping uint32 arithmetic."""
+    u32 = np.uint32
+    words = []  # the entropy: seed's 32-bit words, low first, then step
+    while True:
+        words.append(np.full(steps.shape, seed & 0xFFFFFFFF, u32))
+        seed >>= 32
+        if not seed:
+            break
+    words.append(steps)
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ u32(h)
+        h = h * _MULT_A & 0xFFFFFFFF
+        v = v * u32(h)
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        r = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return r ^ (r >> u32(16))
+
+    zero = np.zeros(steps.shape, u32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    v = (pool[0] ^ u32(_INIT_B)) * u32(_INIT_B * _MULT_B & 0xFFFFFFFF)
+    return v ^ (v >> u32(16))
+
+
 def _step_batch(seed: int, step: int, batch_size: Optional[int]) -> BatchSelector:
+    # a step's batch selector; while a batch stream is open, the child
+    # seeds of _BLOCK steps come from one _child_seeds call, kept for the
+    # command
     if batch_size is None:
         return FULL_DATA
-    child = int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
+    stream = _BATCH_STREAM.get()
+    if stream is None or step >> 32:  # no stream, or past a uint32 step
+        child = int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
+    else:
+        block, i = divmod(step, _BLOCK)
+        children = stream[0].get((seed, block))
+        if children is None:
+            children = stream[0][seed, block] = _child_seeds(
+                seed, np.arange(block * _BLOCK, (block + 1) * _BLOCK,
+                                dtype=np.uint32))
+        child = int(children[i])
     return SyntheticNoise(seed=child, batch_size=batch_size)
 
 

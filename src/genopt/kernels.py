@@ -107,7 +107,7 @@ def _forward(x, y, w, l2, kept):
     np.multiply(y, z, out=t)
     np.subtract(u, t, out=t)
     # the pairwise sum and one rounded division of np.mean
-    loss = float(t.sum()) / t.size + 0.5 * l2 * float(w @ w)
+    loss = float(np.add.reduce(t)) / t.size + 0.5 * l2 * float(w.dot(w))
     if kept is not None:
         kept.append((loss, z, e))
     return loss, z, e

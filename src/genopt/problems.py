@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels
 from .core import (
+    _BATCH_STREAM,
     Array,
     BatchSelector,
     FULL_DATA,
@@ -23,6 +24,7 @@ from .core import (
     SyntheticNoise,
     as_param_vector,
     check_setting,
+    finite_array,
     operands,
 )
 
@@ -142,10 +144,12 @@ class LogisticRegressionProblem(Objective):
     Labels are 0/1. Mini-batches select rows of the feature matrix; see
     ``SyntheticNoise`` for the seeded sampling contract. The rows of the
     last ``SyntheticNoise`` draw are kept, so repeated evaluations on one
-    batch draw it once. The last forward pass of ``loss``, ``grad`` or
-    ``loss_grad`` is kept too, so a later one at the same bits of ``w`` on
-    the same batch (a step that lands on its probe point) computes only
-    what that pass lacks.
+    batch draw it once, and inside ``core.batch_stream`` the indices of
+    every draw are kept until the stream closes, so later runs on the same
+    batches take their rows without drawing. The last forward pass of
+    ``loss``, ``grad`` or ``loss_grad`` is kept too, so a later one at the
+    same bits of ``w`` on the same batch (a step that lands on its probe
+    point) computes only what that pass lacks.
     """
 
     def __init__(self, features, labels, l2_penalty: float = 0.0):
@@ -183,17 +187,14 @@ class LogisticRegressionProblem(Objective):
             return self.features, self._y64
         if isinstance(batch, SyntheticNoise):
             memo = self._noise_memo
-            if memo is not None and memo[0] == batch:
+            if memo is not None and (memo[0] is batch or memo[0] == batch):
                 return memo[1], memo[2]
             if batch.batch_size > self.n_samples:
                 raise ValueError(
                     f"batch_size {batch.batch_size} exceeds dataset size "
                     f"{self.n_samples}"
                 )
-            rng = np.random.default_rng(batch.seed)
-            idx = rng.choice(self.n_samples, size=batch.batch_size,
-                             replace=False, shuffle=False)
-            idx.sort()
+            idx = _draw(batch, self.n_samples)
             memo = (batch, self.features.take(idx, axis=0),
                     self._y64.take(idx))
             self._noise_memo = memo
@@ -206,7 +207,12 @@ class LogisticRegressionProblem(Objective):
         # on the same batch. A pass that misses drops the kept one before it
         # runs, so the peak holds one pass, and is kept in its place.
         x, y = self._resolve(batch)
-        w = as_param_vector(w, dim=self.dim)
+        if not (type(w) is np.ndarray and w.dtype == np.float64
+                and w.shape == (self.dim,) and w.flags.c_contiguous
+                and finite_array(w)):
+            # a list, another dtype or layout, or a w as_param_vector
+            # rejects; a checked float64 vector is taken as it is
+            w = as_param_vector(w, dim=self.dim)
         key = (w.tobytes(), batch)
         memo = self._pass_memo
         if memo is not None and memo[0] == key:
@@ -241,6 +247,23 @@ class LogisticRegressionProblem(Objective):
         w, v = operands(as_param_vector(w, dim=self.dim), v)
         self._pass_memo = None
         return kernels.logreg_hvp(x, w, self.l2_penalty, v)
+
+
+def _draw(batch: SyntheticNoise, n: int) -> Array:
+    # the sorted indices of a draw from n rows, drawn once per (seed,
+    # batch size, n) while a batch stream is open; nothing writes into them
+    stream = _BATCH_STREAM.get()
+    if stream is not None:
+        key = (batch.seed, batch.batch_size, n)
+        idx = stream[1].get(key)
+        if idx is not None:
+            return idx
+    rng = np.random.default_rng(batch.seed)
+    idx = rng.choice(n, size=batch.batch_size, replace=False, shuffle=False)
+    idx.sort()
+    if stream is not None:
+        stream[1][key] = idx
+    return idx
 
 
 def _unpack2(w) -> Tuple[float, float]:

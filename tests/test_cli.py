@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -206,6 +207,79 @@ def test_run_parallel_jobs_match_serial(tmp_path, monkeypatch):
     for fname in ("fixed.trajectory.csv", "adaptive.trajectory.csv"):
         assert (tmp_path / "ser" / fname).read_bytes() == \
             (tmp_path / "par" / fname).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# batch stream: a command draws each (seed, step, batch size) batch once
+
+
+@pytest.fixture
+def rng_seeds(monkeypatch):
+    """The seed of every np.random.default_rng call. The logreg dataset
+    memo starts empty, so the first call builds the dataset."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    harness._logreg_dataset.cache_clear()
+    return seeds
+
+
+def _minibatch_arms(fixed_batch=16, iterations=10):
+    common = {"problem": {"kind": "logreg", "seed": 3, "n": 128, "d": 3},
+              "optimizer": {"kind": "sgd"}, "iterations": iterations,
+              "batch_size": 16}
+    return [dict(common, name="fixed", eta=0.05, batch_size=fixed_batch),
+            dict(common, name="adaptive", gen={"eta0": 0.05, "phi": 1})]
+
+
+def test_a_command_draws_each_batch_once(tmp_path, rng_seeds):
+    arms = _minibatch_arms()
+    cfg = _write_config(tmp_path, arms)
+    assert main(["run", "--config", cfg]) == 0
+    # the dataset, then one draw per step that both arms share
+    assert rng_seeds[0] == 3 and len(rng_seeds) == 1 + 10
+    assert len(set(rng_seeds[1:])) == 10
+    # the stream is gone with the command: a lone run draws its own
+    # batches again, and wrote what the command wrote
+    rng_seeds.clear()
+    harness._logreg_dataset.cache_clear()
+    for arm in arms:
+        lone = tmp_path / f"{arm['name']}.csv"
+        cli.write_trajectory_csv(str(lone), harness.run_experiment(
+            harness.spec_from_dict(arm)))
+        assert lone.read_bytes() == (
+            tmp_path / "out" / f"{arm['name']}.trajectory.csv").read_bytes()
+    assert len(rng_seeds) == 1 + 10 + 10
+
+
+def test_commands_and_batch_sizes_share_no_batch(tmp_path, rng_seeds):
+    cfg = _write_config(tmp_path, _minibatch_arms(fixed_batch=32))
+    assert main(["run", "--config", cfg]) == 0
+    first = rng_seeds[1:]
+    assert rng_seeds[0] == 3 and len(first) == 2 * 10
+    # one command later, another seed: the dataset is kept, the batches
+    # are drawn anew
+    rng_seeds.clear()
+    assert main(["run", "--config", cfg, "--seed", "5"]) == 0
+    assert len(rng_seeds) == 2 * 10 and not set(rng_seeds) & set(first)
+
+
+def test_minibatch_jobs_match_serial(tmp_path, monkeypatch):
+    # each worker draws for the runs it makes; draws are pure, so the
+    # CSVs keep their bits
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    cfg = _write_config(tmp_path, _minibatch_arms(iterations=30))
+    for jobs in ("1", "2"):
+        assert main(["run", "--config", cfg, "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+    for fname in ("fixed.trajectory.csv", "adaptive.trajectory.csv"):
+        assert (tmp_path / "1" / fname).read_bytes() == \
+            (tmp_path / "2" / fname).read_bytes()
 
 
 def test_commands_build_no_step_record(tmp_path, monkeypatch):

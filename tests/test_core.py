@@ -60,8 +60,10 @@ def test_as_param_vector_rejects_bad_input():
         as_param_vector([1.0, 2.0], dim=3)
 
 
-# two-entry parameters, and a vector and a block of rows one entry too wide
+# two-entry parameters, a vector and a block of rows one entry too wide,
+# and two entries as a (1, 2) block, the wrong rank for a vector
 _W2, _W3, _ROWS3 = np.zeros(2), np.zeros(3), np.zeros((4, 3))
+_RANK2 = np.zeros((1, 2))
 _PROBLEMS = {"rosenbrock": RosenbrockProblem(), "beale": BealeProblem(),
              "quadratic": QuadraticProblem(np.eye(2)),
              "logreg": generate_dataset(0, 8, 2)}
@@ -91,6 +93,7 @@ _PROBLEMS = {"rosenbrock": RosenbrockProblem(), "beale": BealeProblem(),
     for name, problem in _PROBLEMS.items()
     for method, call in (
         ("loss", lambda p=problem: p.loss(_W3)),
+        ("loss-rank", lambda p=problem: p.loss(_RANK2)),
         ("loss_grad", lambda p=problem: p.loss_grad(_W3)),
         ("loss_grad_rows", lambda p=problem: p.loss_grad_rows(_ROWS3)),
         ("hvp", lambda p=problem: p.hvp(_W2, _W3)))

@@ -379,6 +379,19 @@ def test_gen_update_rejects_uphill_slope():
     assert eta == 0.1
 
 
+def test_gen_update_rejects_a_zero_slope():
+    # d is orthogonal to the gradient of this bowl, so the symmetric probes
+    # fit an exact parabola (r2 1.0) whose slope is exactly 0: the slope
+    # guard is strict, and the candidate 0.0 must not move eta
+    p = QuadraticProblem([[1.0, 0.0], [0.0, 1.0]])
+    ctrl = GenController(eta=0.5, phi=1)
+    eta, rec = gen_update(ctrl, p, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert eta == 0.5 and ctrl.eta == 0.5
+    assert (rec.eta_candidate, rec.fit_accepted, rec.fit_r2) == (0.0, False,
+                                                                 1.0)
+    assert ctrl.fits_rejected == 1
+
+
 def test_gen_update_rejects_nonfinite_probe():
     obj = _BlowsUp()
     ctrl = GenController(eta=0.5, phi=1)

@@ -1766,6 +1766,32 @@ def apply_steps(monkeypatch):
     return count
 
 
+@pytest.mark.parametrize("data", [
+    _minimal(iterations=20),
+    _minimal(iterations=20, eta=None, gen={"eta0": "auto", "phi": 1}),
+    _minimal(problem=LOGREG, iterations=20, batch_size=16, eta=None,
+             gen={"eta0": "auto", "phi": 1}),
+], ids=["fixed", "adaptive", "minibatch"])
+def test_a_run_calls_harness_apply_step_once_per_step(apply_steps, data):
+    # genbench counts a workload's steps as the successful calls of
+    # harness.apply_step, looked up at call time; the starting-rate search
+    # steps through gen's own name and is not counted
+    result = run_experiment(spec_from_dict(data))
+    assert result.status == "ok"
+    assert apply_steps[0] == len(result.ws) - 1 == data["iterations"]
+
+
+def test_grid_calls_harness_apply_step_once_per_lane_step(apply_steps):
+    # the high rates blow up part-way, so the lanes take different counts
+    spec = spec_from_dict(_minimal(iterations=30))
+    rows = grid_search_rows(spec)
+    lanes = apply_steps[0]
+    steps = sum(len(run_experiment(dataclasses.replace(spec, eta=eta)).ws)
+                - 1 for eta in LR_GRID)
+    assert {r["status"] for r in rows} == {"ok", "diverged"}
+    assert 0 < lanes == steps < len(LR_GRID) * 30
+
+
 @pytest.mark.parametrize("problem, data", [
     (None, _minimal(iterations=300)),
     (None, _minimal(problem={"kind": "beale"}, optimizer={
@@ -1801,6 +1827,20 @@ def test_minibatch_grid_draws_each_batch_once_per_step(monkeypatch):
     # one draw builds the dataset, then one per step for all 18 rates
     assert seeds[0] == 3 and len(seeds) == n + 1
     assert len(set(seeds[1:])) == n
+
+
+def test_child_seeds_are_the_seed_sequence_states():
+    # the batch stream's block of child seeds against numpy's own
+    # SeedSequence, for seeds of one to five 32-bit words and steps across
+    # the uint32 range
+    steps = np.array([0, 1, 2, 255, 256, 1000, 2**31, 2**32 - 1]
+                     + list(np.random.default_rng(5).integers(
+                         0, 2**32, 24)), dtype=np.uint32)
+    for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1, 2**64 + 9,
+                 2**96 + 3, 2**128 + 1, 2**159 + 12345):
+        got = harness._child_seeds(seed, steps).tolist()
+        assert got == [int(np.random.SeedSequence([seed, int(step)])
+                           .generate_state(1)[0]) for step in steps], seed
 
 
 # ---------------------------------------------------------------------------

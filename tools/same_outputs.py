@@ -2,7 +2,10 @@
 with two source trees, each into a temporary directory, and compare every
 CSV byte for byte (summary.csv without wall_time_s), the exit codes,
 stdout and stderr (each tree's temporary directory replaced by a fixed
-token) and whether the command left its output directory. Then run
+token) and whether the command left its output directory. Each of
+those commands runs again with `--jobs 2`, and its facts and CSVs are
+compared with the other tree's serial run of it, so draws shared across a
+command's runs show under a worker pool too. Then run
 `genopt run` and `genopt grid-search` on a fixed set of invalid configs,
 written to the same temporary directory, and compare the same facts, so
 that a change to any config error's code or message, on either command's
@@ -38,6 +41,7 @@ Also prints each tree's line count of genopt/*.py, as `wc -l` counts it.
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,8 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 COMMANDS = ("run", "compare", "grid-search")
 # what each command is compared on besides its CSVs
 FACTS = ("exit code", "stdout", "stderr", "output directory left")
+# the extra flags of the pass that runs the committed configs in a pool
+JOBS2 = ("--jobs", "2")
 # what each experiment is compared on in one subprocess
 HASHED = ("iterates", "final_w", "records")
 
@@ -274,18 +280,24 @@ def outputs(src, tmp):
     write_config(adaptive, {"format_version": 1, "output_dir": "out",
                             "experiments": ADAPTIVE_SHAPES})
     cases.append(("run", adaptive))
+    cases = [(cmd, cfg, ()) for cmd, cfg in cases]
+    cases += [(cmd, cfg, JOBS2) for cmd in COMMANDS for cfg in CONFIGS]
     got = {}
-    for cmd, cfg in cases:
+    for cmd, cfg, flags in cases:
+        # a --jobs 2 run writes where its serial run wrote, so stdout
+        # names the same directory
         out = Path(tmp, cmd, cfg.stem)
+        shutil.rmtree(out, ignore_errors=True)
         proc = subprocess.run(
             [sys.executable, "-m", "genopt.cli", cmd, "--config", str(cfg),
-             "--out", str(out)], capture_output=True, env=env, cwd=tmp)
+             "--out", str(out), *flags], capture_output=True, env=env,
+            cwd=tmp)
         facts = (proc.returncode,
                  proc.stdout.replace(os.fsencode(tmp), b"<tmp>"),
                  proc.stderr.replace(os.fsencode(tmp), b"<tmp>"),
                  out.is_dir())
-        got[cmd, cfg.name] = (facts, {f.name: comparable(f)
-                                      for f in sorted(out.glob("*.csv"))})
+        got[cmd, cfg.name, flags] = (facts, {
+            f.name: comparable(f) for f in sorted(out.glob("*.csv"))})
     return got, iterate_hashes(env, tmp, [*CONFIGS, adaptive])
 
 
@@ -310,8 +322,17 @@ def main(old_src, new_src):
         (old, old_hashes), (new, new_hashes) = (outputs(old_src, a),
                                                 outputs(new_src, b))
     diffs, n_csv = [], 0
-    for key, (facts, csvs) in old.items():
-        facts2, csvs2 = new[key]
+    # each serial run against the other tree's, and each --jobs 2 run
+    # against the other tree's serial run
+    pairs = [(key, old[key], new[key]) for key in old if not key[2]]
+    for cmd, name, flags in old:
+        if flags:
+            serial, pool = (cmd, name, ()), (cmd, name, flags)
+            pairs += [((cmd, name, f"new {' '.join(flags)}"), old[serial],
+                       new[pool]),
+                      ((cmd, name, f"old {' '.join(flags)}"), old[pool],
+                       new[serial])]
+    for key, (facts, csvs), (facts2, csvs2) in pairs:
         for what, x, y in zip(FACTS, facts, facts2):
             if x != y:
                 shown = "" if isinstance(x, bytes) else f" {x} != {y}"
@@ -328,9 +349,11 @@ def main(old_src, new_src):
     for line in diffs:
         print(line)
     codes = sorted(Counter(facts[0] for facts, _ in old.values()).items())
+    n_jobs = sum(1 for key in old if key[2])
     print(f"genopt/*.py lines: {line_count(old_src)} -> "
           f"{line_count(new_src)}")
-    print(f"{len(old)} commands, (exit code, count) {codes}, {n_csv} CSVs, "
+    print(f"{len(old)} commands ({n_jobs} of them with --jobs 2), "
+          f"(exit code, count) {codes}, {n_csv} CSVs, "
           f"{len(old_hashes)} experiments' iterates and records: "
           f"{len(diffs)} differences")
     return 1 if diffs else 0
