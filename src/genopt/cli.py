@@ -12,7 +12,6 @@ diverged run is a successful run whose status column says so.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -20,7 +19,6 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .core import batch_stream
 from .harness import (
     _ACCEPTED,
     _HAS_CANDIDATE,
@@ -39,6 +37,7 @@ from .harness import (
     run_experiment,
     spec_from_dict,
 )
+from .problems import batch_stream
 
 FORMAT_VERSION = 1
 _ROOT_KEYS = ("format_version", "output_dir", "experiments")
@@ -126,10 +125,11 @@ def load_config(path: str) -> Config:
 # CSV writers
 
 def _write_rows(path: str, header, rows) -> None:
+    # no cell needs quoting: names take only [A-Za-z0-9._-], and the
+    # other cells are numbers, fixed words or empty
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _trajectory_row(flags: int) -> str:

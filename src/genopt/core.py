@@ -9,9 +9,7 @@ boundary instead of propagating NaN into downstream state.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -191,26 +189,6 @@ class SyntheticNoise:
 BatchSelector = Union[FullData, SyntheticNoise]
 
 FULL_DATA = FullData()
-
-# The mini-batches of the command running now, as (child seeds, indices):
-# harness._step_batch's child seeds of each (seed, block of steps), and
-# the sorted row indices of each (selector seed, batch size, n) draw. A
-# draw is a pure function of its key, so runs that share one change no
-# bit. None outside ``batch_stream``, so a lone run draws its own batches.
-_BATCH_STREAM: ContextVar[Optional[Tuple[dict, dict]]] = ContextVar(
-    "batch_stream", default=None)
-
-
-@contextlib.contextmanager
-def batch_stream():
-    """Draw each mini-batch once across the runs made inside; leaving
-    drops the draws. The stream keeps child seeds and row indices (8
-    bytes per batch row), never the rows."""
-    token = _BATCH_STREAM.set(({}, {}))
-    try:
-        yield
-    finally:
-        _BATCH_STREAM.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import array
 import functools
+import itertools
 import math
 import struct
 import time
@@ -21,7 +22,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    _BATCH_STREAM,
     SETTINGS,
     Array,
     BatchSelector,
@@ -463,7 +463,7 @@ def build_direction_fn(problem: Objective, optimizer: Dict,
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# steps whose child seeds a batch stream computes in one call
+# steps whose child seeds one _child_seeds call computes
 _BLOCK = 256
 
 
@@ -505,24 +505,26 @@ def _child_seeds(seed: int, steps: Array) -> Array:
     return v ^ (v >> u32(16))
 
 
-def _step_batch(seed: int, step: int, batch_size: Optional[int]) -> BatchSelector:
-    # a step's batch selector; while a batch stream is open, the child
-    # seeds of _BLOCK steps come from one _child_seeds call, kept for the
-    # command
-    if batch_size is None:
-        return FULL_DATA
-    stream = _BATCH_STREAM.get()
-    if stream is None or step >> 32:  # no stream, or past a uint32 step
-        child = int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
-    else:
-        block, i = divmod(step, _BLOCK)
-        children = stream[0].get((seed, block))
-        if children is None:
-            children = stream[0][seed, block] = _child_seeds(
-                seed, np.arange(block * _BLOCK, (block + 1) * _BLOCK,
-                                dtype=np.uint32))
-        child = int(children[i])
-    return SyntheticNoise(seed=child, batch_size=batch_size)
+def _block_seeds(seed: int, start: int) -> List[int]:
+    """The child seeds ``SeedSequence([seed, step]).generate_state(1)[0]``
+    of the ``_BLOCK`` steps from ``start``, a multiple of ``_BLOCK``."""
+    if start >> 32:  # a step past the uint32 range is two entropy words
+        return [int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
+                for step in range(start, start + _BLOCK)]
+    return _child_seeds(seed, np.arange(start, start + _BLOCK,
+                                        dtype=np.uint32)).tolist()
+
+
+def _batches(spec: ExperimentSpec) -> Iterator[BatchSelector]:
+    """The batch selector of each step 1, 2, ... of a run of ``spec``:
+    ``FULL_DATA``, or a draw seeded by the step's child seed, computed
+    ``_BLOCK`` steps at a time."""
+    if spec.batch_size is None:
+        yield from itertools.repeat(FULL_DATA)  # endless
+    for start in itertools.count(0, _BLOCK):
+        seeds = _block_seeds(spec.seed, start)
+        for child in seeds[1:] if start == 0 else seeds:  # no step 0
+            yield SyntheticNoise(seed=child, batch_size=spec.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +565,9 @@ def _execute(problem: Objective, direction_fn: Callable,
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
-        for t in range(1, spec.iterations + 1):
+        for t, batch in zip(range(1, spec.iterations + 1), _batches(spec)):
             # a step that blows up in its loss, gradient, direction, step or
             # post-step loss halts the run and records the values it reached
-            batch = _step_batch(spec.seed, t, spec.batch_size)
             if carried is not None:
                 loss, g = carried
             else:
@@ -731,8 +732,7 @@ def _grid_lanes(problem: Objective, spec: ExperimentSpec
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore",
                      divide="ignore"):
-        for t in range(1, spec.iterations + 1):
-            batch = _step_batch(spec.seed, t, spec.batch_size)
+        for t, batch in zip(range(1, spec.iterations + 1), _batches(spec)):
             if carried is None:
                 losses, g = problem.loss_grad_rows(w, batch)
                 losses, g = drop(_lanes_ok(losses, g), losses, losses, g)

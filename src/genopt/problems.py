@@ -2,19 +2,20 @@
 
 Two fixed 2-D test functions (a banana-shaped valley and a three-term
 least-squares surface), a general SPD quadratic family on which the local
-quadratic model is exact, and a seeded logistic-regression problem for
-mini-batch studies.
+quadratic model is exact, a seeded logistic-regression problem for
+mini-batch studies, and the batch stream that shares its draws.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from typing import Tuple
 
 import numpy as np
 
 from . import kernels
 from .core import (
-    _BATCH_STREAM,
     Array,
     BatchSelector,
     FULL_DATA,
@@ -23,8 +24,8 @@ from .core import (
     Objective,
     SyntheticNoise,
     as_param_vector,
+    check_finite,
     check_setting,
-    finite_array,
     operands,
 )
 
@@ -144,7 +145,7 @@ class LogisticRegressionProblem(Objective):
     Labels are 0/1. Mini-batches select rows of the feature matrix; see
     ``SyntheticNoise`` for the seeded sampling contract. The rows of the
     last ``SyntheticNoise`` draw are kept, so repeated evaluations on one
-    batch draw it once, and inside ``core.batch_stream`` the indices of
+    batch draw it once, and inside ``batch_stream`` the indices of
     every draw are kept until the stream closes, so later runs on the same
     batches take their rows without drawing. The last forward pass of
     ``loss``, ``grad`` or ``loss_grad`` is kept too, so a later one at the
@@ -207,12 +208,7 @@ class LogisticRegressionProblem(Objective):
         # on the same batch. A pass that misses drops the kept one before it
         # runs, so the peak holds one pass, and is kept in its place.
         x, y = self._resolve(batch)
-        if not (type(w) is np.ndarray and w.dtype == np.float64
-                and w.shape == (self.dim,) and w.flags.c_contiguous
-                and finite_array(w)):
-            # a list, another dtype or layout, or a w as_param_vector
-            # rejects; a checked float64 vector is taken as it is
-            w = as_param_vector(w, dim=self.dim)
+        w = self._operand(w)
         key = (w.tobytes(), batch)
         memo = self._pass_memo
         if memo is not None and memo[0] == key:
@@ -238,31 +234,55 @@ class LogisticRegressionProblem(Objective):
 
     def hessian(self, w: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x, _ = self._resolve(batch)
-        w = as_param_vector(w, dim=self.dim)
+        w = self._operand(w)
         self._pass_memo = None  # the curvature makes a pass of its own
         return kernels.logreg_hessian(x, w, self.l2_penalty)
 
     def hvp(self, w: Array, v: Array, batch: BatchSelector = FULL_DATA) -> Array:
         x, _ = self._resolve(batch)
-        w, v = operands(as_param_vector(w, dim=self.dim), v)
+        w, v = operands(self._operand(w), v)
         self._pass_memo = None
         return kernels.logreg_hvp(x, w, self.l2_penalty, v)
 
+    def _operand(self, w) -> Array:
+        # w as a finite contiguous float64 vector of the problem's
+        # dimension, copied only if it is not one: w . w rounds otherwise
+        # on a strided vector
+        w = np.ascontiguousarray(operands(w, shape=(self.dim,))[0])
+        return check_finite(w, "parameter vector")
+
+
+# The sorted row indices of each (selector seed, batch size, n) draw made
+# inside the open ``batch_stream``. A draw is a pure function of its key,
+# so runs that share one change no bit. Unset outside a stream, so a lone
+# run draws its own batches.
+_DRAWS: ContextVar[dict] = ContextVar("batch_stream")
+
+
+@contextlib.contextmanager
+def batch_stream():
+    """Draw each mini-batch once across the runs made inside; leaving
+    drops the draws. The stream keeps row indices (8 bytes per batch row),
+    never the rows."""
+    token = _DRAWS.set({})
+    try:
+        yield
+    finally:
+        _DRAWS.reset(token)
+
 
 def _draw(batch: SyntheticNoise, n: int) -> Array:
-    # the sorted indices of a draw from n rows, drawn once per (seed,
-    # batch size, n) while a batch stream is open; nothing writes into them
-    stream = _BATCH_STREAM.get()
-    if stream is not None:
-        key = (batch.seed, batch.batch_size, n)
-        idx = stream[1].get(key)
-        if idx is not None:
-            return idx
-    rng = np.random.default_rng(batch.seed)
-    idx = rng.choice(n, size=batch.batch_size, replace=False, shuffle=False)
-    idx.sort()
-    if stream is not None:
-        stream[1][key] = idx
+    # the sorted indices of a draw from n rows, kept in the open batch
+    # stream (outside one, in a dict dropped on return); nothing writes
+    # into them
+    draws = _DRAWS.get({})
+    key = (batch.seed, batch.batch_size, n)
+    idx = draws.get(key)
+    if idx is None:
+        rng = np.random.default_rng(batch.seed)
+        idx = draws[key] = rng.choice(n, size=batch.batch_size,
+                                      replace=False, shuffle=False)
+        idx.sort()
     return idx
 
 

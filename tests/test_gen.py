@@ -201,6 +201,14 @@ def test_fit_quadratic_overflow_is_rejected_not_raised():
     assert fit is REJECTED
 
 
+def test_fit_quadratic_rejects_a_negative_determinant():
+    # asymmetric etas this close round the normal equations' determinant
+    # to -0.25; solved anyway, they give curvature -12.64 at r2 1.0
+    fit = fit_quadratic([(0.0, 1.0), (284.12229200491714, 2.0),
+                         (284.1222922804946, 3.0)])
+    assert fit is REJECTED
+
+
 def test_fit_quadratic_three_point_r2_is_one():
     # two informative points, two unknowns: interpolation, so r2 is
     # pinned at 1 and carries no lack-of-fit signal

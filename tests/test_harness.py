@@ -5,6 +5,7 @@ batch-noise study."""
 import csv
 import dataclasses
 import gc
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -1830,9 +1831,8 @@ def test_minibatch_grid_draws_each_batch_once_per_step(monkeypatch):
 
 
 def test_child_seeds_are_the_seed_sequence_states():
-    # the batch stream's block of child seeds against numpy's own
-    # SeedSequence, for seeds of one to five 32-bit words and steps across
-    # the uint32 range
+    # child seeds against numpy's own SeedSequence, for seeds of one to
+    # five 32-bit words and steps across the uint32 range
     steps = np.array([0, 1, 2, 255, 256, 1000, 2**31, 2**32 - 1]
                      + list(np.random.default_rng(5).integers(
                          0, 2**32, 24)), dtype=np.uint32)
@@ -1841,6 +1841,34 @@ def test_child_seeds_are_the_seed_sequence_states():
         got = harness._child_seeds(seed, steps).tolist()
         assert got == [int(np.random.SeedSequence([seed, int(step)])
                            .generate_state(1)[0]) for step in steps], seed
+
+
+def _seed_sequence_state(seed, step):
+    return int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("seed", [7, 2**40 + 3])
+def test_batches_follow_the_seed_sequence_schedule(seed):
+    # steps 1..600 cross the block starts 256 and 512
+    spec = spec_from_dict(_minimal(
+        problem={"kind": "logreg", "seed": 0, "n": 64, "d": 2},
+        batch_size=16, seed=seed))
+    assert list(itertools.islice(harness._batches(spec), 600)) == [
+        SyntheticNoise(_seed_sequence_state(seed, t), 16)
+        for t in range(1, 601)]
+
+
+def test_full_batch_steps_take_the_full_data():
+    spec = spec_from_dict(_minimal())
+    assert set(itertools.islice(harness._batches(spec), 600)) == {FULL_DATA}
+
+
+@pytest.mark.parametrize("seed", [7, 2**40 + 3])
+def test_block_seeds_past_the_uint32_steps(seed):
+    # the first block whose steps take two entropy words
+    assert harness._block_seeds(seed, 2**32) == [
+        _seed_sequence_state(seed, step)
+        for step in range(2**32, 2**32 + harness._BLOCK)]
 
 
 # ---------------------------------------------------------------------------

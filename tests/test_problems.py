@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, fd_hessian
-from genopt.core import FULL_DATA, SyntheticNoise
+from genopt.core import (FULL_DATA, DimensionMismatchError, NonFiniteError,
+                         SyntheticNoise)
 from genopt.problems import (
     BealeProblem,
     LogisticRegressionProblem,
@@ -293,6 +294,40 @@ def test_logreg_drops_its_kept_pass_before_a_new_one(evaluate, vectors):
     finally:
         tracemalloc.stop()
     assert peak - before < vectors * 8 * n
+
+
+_LOGREG_ENTRIES = {
+    "loss": lambda p, w: p.loss(w), "grad": lambda p, w: p.grad(w),
+    "loss_grad": lambda p, w: p.loss_grad(w),
+    "hessian": lambda p, w: p.hessian(w),
+    "hvp": lambda p, w: p.hvp(w, np.ones(p.dim))}
+
+
+def _logreg8():
+    return generate_dataset(seed=1, n=64, d=8, l2_penalty=0.01)
+
+
+@pytest.mark.parametrize("entry", _LOGREG_ENTRIES)
+def test_logreg_checks_w_one_way(entry):
+    # every entry takes w's values, not its layout, and rejects a w of
+    # another shape or with a NaN or Inf entry
+    # (a w whose w . w rounds differently when strided; each call on a
+    # problem of its own, so none reuses another's kept pass)
+    call = _LOGREG_ENTRIES[entry]
+    strided = np.random.default_rng(8).standard_normal((8, 3))[:, 1]
+    assert not strided.flags.c_contiguous
+    want = call(_logreg8(), strided.copy())
+    np.testing.assert_equal(call(_logreg8(), strided), want)
+    np.testing.assert_equal(call(_logreg8(), list(strided)), want)
+    p = _logreg8()
+    for wrong in (np.zeros(7), np.zeros((1, 8))):
+        with pytest.raises(DimensionMismatchError):
+            call(p, wrong)
+    for bad in (np.nan, np.inf):
+        w = strided.copy()
+        w[2] = bad
+        with pytest.raises(NonFiniteError):
+            call(p, w)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ committed config takes (5-point probes, whose r2 column carries the
 fit's residual bits, phi > 1, decay, a low r2 threshold, the hvp
 estimator) on Rosenbrock, the quadratic and logreg with the full batch
 and with mini-batches, next to a full-batch 3-point logreg fit with
-rejected fits, whose steps land on their probe points, and a fixed-rate
+rejected fits, whose steps land on their probe points, a fixed-rate
 Newton run on logreg, so the logistic curvature shows through both of
-its users. Then, in one more subprocess per tree, run every experiment
+its users, and a 300-step mini-batch run on a seed of two 32-bit words,
+whose step seeds cross the 256-step blocks they are computed in. Then, in one more subprocess per tree, run every experiment
 of the committed configs and of the adaptive-shapes config that `run`
 and `compare` accept through `genopt.harness.run_experiment`, and
 compare the sha256 of its iterates
@@ -206,6 +207,11 @@ ADAPTIVE_SHAPES = [
          optimizer={"kind": "sgd", "momentum": 0.5}, gen={"estimator": "hvp"}),
     dict(LOGREG_GRID, name="logreg-newton", problem=LOGREG_RUN,
          optimizer={"kind": "newton"}, eta=1.0),
+    # a seed of two 32-bit words, over the step-256 block boundary of the
+    # harness's child seeds
+    dict(LOGREG_GRID, name="logreg-minibatch-wide-seed", problem=LOGREG_RUN,
+         optimizer={"kind": "sgd"}, batch_size=16, seed=2**40 + 3,
+         iterations=300, gen={"eta0": 0.01}),
 ]
 
 
